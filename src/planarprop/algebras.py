@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix, Q0, Q1, SparseEchelon
@@ -418,9 +418,8 @@ def is_formally_smooth_witness(A: FinAlgebra) -> dict:
     feasible = N not in ech.pivot_rows
     report = {"dim": a, "kernel_module_dim": len(relations), "feasible": feasible}
     if feasible:
-        ech._back_reduce()
         sol = [Q0] * n_unk
-        for pc, prow in ech.pivot_rows.items():
+        for pc, prow in ech.rref().items():
             if pc < N:
                 sol[pc] = -prow.get(N, Q0)
         # verify: pi(s_j) = d(e_j)

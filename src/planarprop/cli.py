@@ -160,8 +160,8 @@ def cmd_compose(args) -> int:
 def cmd_symbol(args) -> int:
     A, digest = _load_algebra(args.algebra)
     B = GradedTarget(A)
-    if args.order is None:
-        raise CliError("symbol requires --order")
+    if args.order is None or args.order < 1:
+        raise CliError("symbol requires --order of at least 1")
     res = symbol_exactness(B, args.order, args.grade)
     report = _header(args, digest)
     report["order"] = args.order
@@ -427,6 +427,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        for flag in ("order", "grade"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise CliError(f"--{flag} must be non-negative, got {value}")
         return args.func(args)
     except CliError as e:
         sys.stderr.write(f"error: {e}\n")

@@ -1,16 +1,20 @@
 """Exact rational matrices: arithmetic, RREF, deterministic nullspace bases.
 
-All entries are `fractions.Fraction`; no floating point anywhere.  The
-nullspace basis convention is fixed once and for all: reduced row echelon
-form with pivots chosen left to right, one basis vector per free column,
-free columns taken in increasing index order.  Every caller that freezes
-expected values relies on this being deterministic.
+Dense `Matrix` entries are `fractions.Fraction`; no floating point
+anywhere.  The sparse `SparseEchelon` keeps its rows integral and
+primitive and eliminates fraction-free; `Fraction`s appear only in the
+reduced echelon form it emits.  The nullspace basis convention is fixed
+once and for all: reduced row echelon form with pivots chosen left to
+right, one basis vector per free column, free columns taken in increasing
+index order.  Every caller that freezes expected values relies on this
+being deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Sequence
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -221,93 +225,156 @@ def nullspace(m: Matrix) -> list[list[Fraction]]:
 
 
 class SparseEchelon:
-    """Incremental row-space echelon over the rationals with sparse rows.
+    """Incremental row-space echelon with sparse integer rows.
 
-    Feed constraint rows one at a time; at the end, `nullspace()` returns
-    the same canonical basis as dense RREF of the stacked rows would
-    (the fully reduced echelon form of a row space is unique, so the
-    result does not depend on insertion order).
+    Feed constraint rows one at a time; `add_row` clears each row's
+    denominators and eliminates fraction-free, so every stored pivot row
+    is a primitive integer row (content 1, positive lead) keyed by its
+    lead column.  `rref()` emits the canonical reduced echelon form, the
+    only place `Fraction`s are built, and `nullspace()` returns the same
+    basis as dense RREF of the stacked rows would (the fully reduced
+    echelon form of a row space is unique, so the result does not depend
+    on insertion order).
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_rows: dict[int, dict[int, Fraction]] = {}
+        self.pivot_rows: dict[int, dict[int, int]] = {}
 
     def add_row(self, row: dict[int, Fraction]) -> bool:
         """Reduce a sparse row against the current pivots; returns True if
         it contributed a new pivot."""
-        row = {j: v for j, v in row.items() if v}
+        row = self._reduce(_integral(row))
+        if not row:
+            return False
+        lead = min(row)
+        g = gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        self.pivot_rows[lead] = {j: v // g for j, v in row.items()} if g != 1 else row
+        return True
+
+    def contains(self, row: dict[int, Fraction]) -> bool:
+        """Whether a sparse row lies in the row space; the row is not
+        inserted."""
+        return not self._reduce(_integral(row))
+
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """Eliminate leads that are pivots until the lead is free; returns
+        the remainder (empty if the row lies in the span)."""
+        pivots = self.pivot_rows
         while row:
             lead = min(row)
-            piv = self.pivot_rows.get(lead)
+            piv = pivots.get(lead)
             if piv is None:
-                inv = Q1 / row[lead]
-                self.pivot_rows[lead] = {j: v * inv for j, v in row.items()}
-                return True
-            f = row[lead]
-            for j, v in piv.items():
-                nv = row.get(j, Q0) - f * v
-                if nv:
-                    row[j] = nv
-                else:
-                    row.pop(j, None)
-        return False
+                return row
+            _eliminate(row, piv, lead)
+        return row
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
     def _back_reduce(self):
-        for lead in sorted(self.pivot_rows, reverse=True):
-            piv = self.pivot_rows[lead]
-            for lead2 in sorted(self.pivot_rows):
-                if lead2 >= lead:
-                    break
-                r2 = self.pivot_rows[lead2]
-                f = r2.get(lead)
-                if f:
-                    for j, v in piv.items():
-                        nv = r2.get(j, Q0) - f * v
-                        if nv:
-                            r2[j] = nv
-                        else:
-                            r2.pop(j, None)
+        """Clear every pivot column from the other pivot rows, in place.
+        Pivots are taken from the last lead down, so a pivot row has lost
+        its later pivot columns before it is used, and its fill lands on
+        free columns only: which rows hold each pivot column is known from
+        one index built up front."""
+        rows = self.pivot_rows
+        holders: dict[int, list[int]] = {lead: [] for lead in rows}
+        for lead, row in rows.items():
+            for j in row:
+                if j != lead and j in holders:
+                    holders[j].append(lead)
+        for lead in sorted(rows, reverse=True):
+            piv = rows[lead]
+            for lead2 in holders[lead]:
+                _eliminate(rows[lead2], piv, lead)
+
+    def rref(self) -> dict[int, dict[int, Fraction]]:
+        """The canonical reduced row echelon form: lead column -> row
+        scaled to lead 1, in increasing lead order."""
+        self._back_reduce()
+        out = {}
+        for lead in sorted(self.pivot_rows):
+            row = self.pivot_rows[lead]
+            p = row[lead]
+            out[lead] = {j: Fraction(v, p) for j, v in row.items()}
+        return out
 
     def nullspace(self) -> list[list[Fraction]]:
-        self._back_reduce()
-        pivcols = set(self.pivot_rows)
+        """One kernel vector per free column, free columns in increasing
+        order."""
+        rref = self.rref()
+        entries: dict[int, list[tuple[int, Fraction]]] = {}
+        for pc, prow in rref.items():
+            for j, c in prow.items():
+                if j != pc:
+                    entries.setdefault(j, []).append((pc, -c))
         basis = []
         for j in range(self.ncols):
-            if j in pivcols:
+            if j in rref:
                 continue
             v = [Q0] * self.ncols
             v[j] = Q1
-            for pc, prow in self.pivot_rows.items():
-                c = prow.get(j)
-                if c:
-                    v[pc] = -c
+            for pc, c in entries.get(j, ()):
+                v[pc] = c
             basis.append(v)
         return basis
 
 
-def sparse_nullspace(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
+def _integral(row: dict[int, Fraction]) -> dict[int, int]:
+    """The nonzero entries of a rational row times the lcm of their
+    denominators."""
+    row = {j: v for j, v in row.items() if v}
+    den = lcm(*(v.denominator for v in row.values()))
+    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+
+
+def _eliminate(row: dict[int, int], piv: dict[int, int], lead: int) -> None:
+    """Clear column `lead` of an integer row with a pivot row, in place:
+    row <- (p row - r piv) / content, where p and r are the two entries at
+    `lead` divided by their gcd (p > 0, so the sign of every other lead of
+    the row is kept)."""
+    p, r = piv[lead], row[lead]
+    g = gcd(p, r)
+    p, r = p // g, r // g
+    if p != 1:
+        for j in row:
+            row[j] *= p
+    for j, v in piv.items():
+        nv = row.get(j, 0) - r * v
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
+    if row:
+        c = gcd(*row.values())
+        if c != 1:
+            for j in row:
+                row[j] //= c
+
+
+def _sparse(vec: Sequence) -> dict[int, Fraction]:
+    return {j: _frac(x) for j, x in enumerate(vec) if x}
+
+
+def span_echelon(vectors: Sequence[Sequence[Fraction]], ncols: int) -> SparseEchelon:
+    """Echelon form of the span of a family of dense vectors of length ncols."""
     ech = SparseEchelon(ncols)
-    for row in rows:
-        ech.add_row(row)
-    return ech.nullspace()
+    for v in vectors:
+        ech.add_row(_sparse(v))
+    return ech
 
 
 def span_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
     """Rank of the span of a family of vectors."""
     if not vectors:
         return 0
-    ech = SparseEchelon(len(vectors[0]))
-    for v in vectors:
-        ech.add_row({j: _frac(x) for j, x in enumerate(v) if x})
-    return ech.rank
+    return span_echelon(vectors, len(vectors[0])).rank
 
 
 def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
     """Exact membership of `target` in the span of `vectors`."""
-    n = span_rank(list(vectors))
-    return span_rank(list(vectors) + [list(target)]) == n
+    return span_echelon(vectors, len(target)).contains(_sparse(target))

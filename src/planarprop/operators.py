@@ -26,11 +26,12 @@ ever applied to the stored matrices when retagging.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebras import GradedTarget
-from .linalg import Matrix, Q0, Q1, SparseEchelon, in_span, span_rank
+from .linalg import Matrix, Q0, SparseEchelon, in_span, span_echelon, span_rank
 from .ordinals import MonotoneMap, all_epis, compose, merge
 from .partitions import (
     OrderedPartition,
@@ -342,149 +343,152 @@ def _slot_insert(B: GradedTarget, g_ext: tuple[int, ...], i: int, mat: Matrix) -
     return Matrix.identity(pre).kron(mat).kron(Matrix.identity(post))
 
 
-def _constraint_terms(B: GradedTarget, kappa, i, g):
-    """Symbolic terms of the slot-i Leibniz constraint for block (kappa, g):
-    a list of (block_key, grade_key, coeff_matrix, split_tag) where the
-    constraint reads, for inputs with a product pair (r, s) in slot i:
-
-        sum_k c[r][s][k] P[kappa][g](.., k, ..)
-      - Lf(r) P[kappa][g](.., s, ..) - Rf(s) P[kappa][g](.., r, ..)
-      - sum_{x+y=kappa_i} mB P[kappa'][g'](.., r, s, ..) = 0.
-
-    Returned as structural data; callers substitute concrete inputs."""
-    terms = []
-    gi = g[i]
-    terms.append(("left", kappa, g, None))
-    terms.append(("right", kappa, g, None))
-    for x in range(1, kappa[i]):
-        y = kappa[i] - x
-        kp = kappa[:i] + (x, y) + kappa[i + 1 :]
-        for h1 in range(gi + 1):
-            h2 = gi - h1
-            gp = g[:i] + (h1, h2) + g[i + 1 :]
-            terms.append(("mB", kp, gp, (h1, h2)))
-    return terms
-
-
-def _iter_constraints(B: GradedTarget, core: tuple[int, ...], grade: int):
-    """Yield the full constraint family for a shape core at a fixed total
-    grade: tuples (kappa, i, g, terms)."""
+def _iter_constraints(core: tuple[int, ...], grade: int):
+    """The constraint blocks of a shape core at a fixed total grade, in
+    system order: tuples (kappa, i, g), one per stored refinement kappa,
+    grade vector g and slot i."""
     for kappa in _core_refinements(core):
         if not kappa:
             continue
         for g in _gradevecs(len(kappa), grade):
             for i in range(len(kappa)):
-                yield kappa, i, g, _constraint_terms(B, kappa, i, g)
+                yield kappa, i, g
+
+
+def _exact(x: Fraction):
+    """x as an int when integral, so integral constants give integer rows."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
+    """Yield the Leibniz system of a shape core at a fixed total grade as
+    sparse rows (unknown index -> coefficient) over the unknowns of
+    `vector_layout`; the coefficients are integers when the structure
+    constants and f are.  For block (kappa, g), slot i, inputs `rest` in
+    the other slots and a basis pair (r, s) fed into slot i, the row at
+    output coordinate `row` reads
+
+        sum_k c[r][s][k] P[kappa][g](.., k, ..)
+      - (f(e_r) on the slot's first factor) P[kappa][g](.., s, ..)
+      - (f(e_s) on the slot's last factor) P[kappa][g](.., r, ..)
+      - sum over splits (x, y) of kappa_i and (h1, h2) of g_i of the
+        junction product of P[kappa'][g'](.., r, s, ..) = 0,
+
+    each term found by index arithmetic on tensor coordinates.  Rows come
+    in the order of `_iter_constraints`, then rest, r, s and row; zero
+    rows are skipped."""
+    A = B.A
+    a = A.dim
+    c = [[[_exact(x) for x in row] for row in plane] for plane in A.mult]
+    fm = B.f.matrix.rows
+    blocks = vector_layout(B, core, grade)["blocks"]
+    # products of basis pairs, and for each factor coordinate the terms of
+    # f(e_r) acting on it from the left and f(e_s) from the right
+    prod = [[[(k, c[r][s][k]) for k in range(a) if c[r][s][k]] for s in range(a)] for r in range(a)]
+    left = [[[] for _ in range(a)] for _ in range(a)]
+    right = [[[] for _ in range(a)] for _ in range(a)]
+    for r in range(a):
+        for x in range(a):
+            for j in range(a):
+                lv = _exact(sum((fm[t][r] * A.mult[t][j][x] for t in range(a)), Q0))
+                if lv:
+                    left[r][x].append((j, lv))
+                rv = _exact(sum((fm[t][r] * A.mult[j][t][x] for t in range(a)), Q0))
+                if rv:
+                    right[r][x].append((j, rv))
+    junction = [[(u, v, c[u][v][k]) for u in range(a) for v in range(a) if c[u][v][k]] for k in range(a)]
+
+    for kappa, i, g in _iter_constraints(core, grade):
+        d = len(kappa)
+        base = blocks[(kappa, g)][0]
+        nc = a**d
+        n_i = g[i] + 1
+        S = a**n_i  # coordinates of slot i's output
+        Q = a ** sum(gj + 1 for gj in g[i + 1 :])  # of the slots after it
+        P = a ** sum(gj + 1 for gj in g[:i])  # of the slots before it
+        hi = S // a
+        # per slot coordinate: the left/right action terms (new slot
+        # coordinate, coeff) and the junction terms (block offset, refined
+        # slot coordinate, coeff) of every split
+        lterms = [[[(sl + (j - sl // hi) * hi, v) for j, v in left[r][sl // hi]] for sl in range(S)] for r in range(a)]
+        rterms = [[[(sl + j - sl % a, v) for j, v in right[s][sl % a]] for sl in range(S)] for s in range(a)]
+        jterms = [[] for _ in range(S)]
+        for x in range(1, kappa[i]):
+            kp = kappa[:i] + (x, kappa[i] - x) + kappa[i + 1 :]
+            for h1 in range(n_i):
+                h2 = g[i] - h1
+                off2 = blocks[(kp, g[:i] + (h1, h2) + g[i + 1 :])][0]
+                w = a**h2
+                for sl in range(S):
+                    top, k, lo = sl // (w * a), sl // w % a, sl % w
+                    for u, v, cv in junction[k]:
+                        jterms[sl].append((off2, ((top * a + u) * a + v) * w + lo, cv))
+        S2 = S * a
+        nc2 = nc * a
+        tail = a ** (d - 1 - i)
+        for rest in itertools.product(range(a), repeat=d - 1):
+            head = 0
+            for t in rest[:i]:
+                head = head * a + t
+            low = 0
+            for t in rest[i:]:
+                low = low * a + t
+            col = [(head * a + t) * tail + low for t in range(a)]
+            for r in range(a):
+                cr = col[r]
+                for s in range(a):
+                    cs = col[s]
+                    pr = [(col[k], v) for k, v in prod[r][s]]
+                    lt, rt = lterms[r], rterms[s]
+                    c2 = ((head * a + r) * a + s) * tail + low
+                    for pre in range(P):
+                        for sl in range(S):
+                            for post in range(Q):
+                                row = (pre * S + sl) * Q + post
+                                eq: dict = {}
+                                at = base + row * nc
+                                for ck, v in pr:
+                                    idx = at + ck
+                                    eq[idx] = eq.get(idx, 0) + v
+                                for sl2, v in lt[sl]:
+                                    idx = base + ((pre * S + sl2) * Q + post) * nc + cs
+                                    eq[idx] = eq.get(idx, 0) - v
+                                for sl2, v in rt[sl]:
+                                    idx = base + ((pre * S + sl2) * Q + post) * nc + cr
+                                    eq[idx] = eq.get(idx, 0) - v
+                                for off2, slx, v in jterms[sl]:
+                                    idx = off2 + ((pre * S2 + slx) * Q + post) * nc2 + c2
+                                    eq[idx] = eq.get(idx, 0) - v
+                                eq = {j: v for j, v in eq.items() if v}
+                                if eq:
+                                    yield eq
 
 
 def solve_D(B: GradedTarget, shape: tuple[int, ...], grade: int = 0) -> list[DiffOperator]:
     """Deterministic basis of the space of operators of the given shape
-    and total grade: assemble the Leibniz system over all refinements and
-    slots and return its exact nullspace, unpacked into operators.
-    Refinements are ordered by (size, parts), grade vectors
-    lexicographically, matrix entries row-major."""
+    and total grade: the exact nullspace of the Leibniz system over all
+    refinements and slots, unpacked into operators.  Refinements are
+    ordered by (size, parts), grade vectors lexicographically, matrix
+    entries row-major."""
     shape = tuple(shape)
     core = _positive(shape)
-    a = B.A.dim
     if core == ():
         return [unit_operator(B, len(shape))] if grade == 0 and shape else (
             [one_operator(B)] if grade == 0 else []
         )
-
-    refts = _core_refinements(core)
-    offsets: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    sizes: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
-    pos = 0
-    for kappa in refts:
-        d = len(kappa)
-        for g in _gradevecs(d, grade):
-            nr = a ** (sum(g) + d)
-            nc = a**d
-            offsets[(kappa, g)] = pos
-            sizes[(kappa, g)] = (nr, nc)
-            pos += nr * nc
-    n_unknowns = pos
-
-    ech = SparseEchelon(n_unknowns)
-    mult = B.A.mult
-
-    for kappa, i, g, terms in _iter_constraints(B, core, grade):
-        d = len(kappa)
-        base = offsets[(kappa, g)]
-        nr, nc = sizes[(kappa, g)]
-        # precompute action matrices for this (kappa, i, g)
-        lmats = [_slot_insert(B, g, i, B.left_insert(B.A.basis_vec(r), g[i])) for r in range(a)]
-        rmats = [_slot_insert(B, g, i, B.right_insert(B.A.basis_vec(s), g[i])) for s in range(a)]
-        mb_terms = []
-        for kind, kp, gp, hs in terms:
-            if kind == "mB":
-                mb_terms.append((kp, gp, _slot_insert(B, g, i, B.mB_matrix(*hs))))
-        for rest in itertools.product(range(a), repeat=d - 1):
-            for r in range(a):
-                for s in range(a):
-                    col_of = lambda t: _tuple_col(rest, i, t, a)
-                    prod = mult[r][s]
-                    for row in range(nr):
-                        eq: dict[int, Fraction] = {}
-                        for k in range(a):
-                            if prod[k]:
-                                idx = base + row * nc + col_of(k)
-                                eq[idx] = eq.get(idx, Q0) + prod[k]
-                        for rp, v in enumerate(lmats[r].rows[row]):
-                            if v:
-                                idx = base + rp * nc + col_of(s)
-                                eq[idx] = eq.get(idx, Q0) - v
-                        for rp, v in enumerate(rmats[s].rows[row]):
-                            if v:
-                                idx = base + rp * nc + col_of(r)
-                                eq[idx] = eq.get(idx, Q0) - v
-                        for kp, gp, mb in mb_terms:
-                            if (kp, gp) not in offsets:
-                                continue
-                            b2 = offsets[(kp, gp)]
-                            nc2 = sizes[(kp, gp)][1]
-                            col2 = _tuple_col_pair(rest, i, r, s, a)
-                            for rp, v in enumerate(mb.rows[row]):
-                                if v:
-                                    idx = b2 + rp * nc2 + col2
-                                    eq[idx] = eq.get(idx, Q0) - v
-                        eq = {k2: v2 for k2, v2 in eq.items() if v2}
-                        if eq:
-                            ech.add_row(eq)
-
+    layout = vector_layout(B, core, grade)
+    ech = SparseEchelon(layout["total"])
+    for row in leibniz_rows(B, core, grade):
+        ech.add_row(row)
     basis = []
     for vec in ech.nullspace():
         comps: dict = {}
-        for (kappa, g), off in offsets.items():
-            nr, nc = sizes[(kappa, g)]
-            m = Matrix([[vec[off + r * nc + c] for c in range(nc)] for r in range(nr)])
+        for (kappa, g), (off, nr, nc) in layout["blocks"].items():
+            m = Matrix([vec[off + r * nc : off + (r + 1) * nc] for r in range(nr)])
             if not m.is_zero():
                 comps.setdefault(kappa, {})[g] = m
         basis.append(DiffOperator(B, shape, grade, comps))
     return basis
-
-
-def _tuple_col(rest, i, t, a):
-    col = 0
-    it = iter(rest)
-    d = len(rest) + 1
-    for j in range(d):
-        col = col * a + (t if j == i else next(it))
-    return col
-
-
-def _tuple_col_pair(rest, i, r, s, a):
-    col = 0
-    it = iter(rest)
-    d = len(rest) + 2
-    for j in range(d):
-        if j == i:
-            col = col * a + r
-        elif j == i + 1:
-            col = col * a + s
-        else:
-            col = col * a + next(it)
-    return col
 
 
 def solve_Dn(B: GradedTarget, n: int, grade: int = 0) -> list[DiffOperator]:
@@ -494,43 +498,14 @@ def solve_Dn(B: GradedTarget, n: int, grade: int = 0) -> list[DiffOperator]:
 
 
 def check_leibniz(P: DiffOperator) -> bool:
-    """The defining invariant, evaluated on the stored matrices."""
-    B = P.B
-    a = B.A.dim
-    core = P.core
-    for kappa, i, g, terms in _iter_constraints(B, core, P.grade):
-        M = P.block(kappa, g)
-        d = len(kappa)
-        nc = a**d
-        nr = a ** (sum(g) + d)
-        lmats = [_slot_insert(B, g, i, B.left_insert(B.A.basis_vec(r), g[i])) for r in range(a)]
-        rmats = [_slot_insert(B, g, i, B.right_insert(B.A.basis_vec(s), g[i])) for s in range(a)]
-        mb = []
-        for kind, kp, gp, hs in terms:
-            if kind == "mB":
-                M2 = P.block(kp, gp)
-                if M2 is not None:
-                    mb.append((_slot_insert(B, g, i, B.mB_matrix(*hs)), M2))
-        for rest in itertools.product(range(a), repeat=d - 1):
-            for r in range(a):
-                for s in range(a):
-                    total = [Q0] * nr
-                    prod = B.A.mult[r][s]
-                    if M is not None:
-                        for k in range(a):
-                            if prod[k]:
-                                colv = M.col(_tuple_col(rest, i, k, a))
-                                total = [t0 + prod[k] * v for t0, v in zip(total, colv)]
-                        lv = lmats[r].apply(M.col(_tuple_col(rest, i, s, a)))
-                        rv = rmats[s].apply(M.col(_tuple_col(rest, i, r, a)))
-                        total = [t0 - x - y for t0, x, y in zip(total, lv, rv)]
-                    col2 = _tuple_col_pair(rest, i, r, s, a)
-                    for ins, M2 in mb:
-                        mv = ins.apply(M2.col(col2))
-                        total = [t0 - v for t0, v in zip(total, mv)]
-                    if any(total):
-                        return False
-    return True
+    """The defining invariant: every row of the Leibniz system vanishes on
+    the operator's coordinates."""
+    vec = op_vector(P, vector_layout(P.B, P.shape, P.grade))
+    den = lcm(*(x.denominator for x in vec))
+    vec = [x.numerator * (den // x.denominator) for x in vec]
+    return not any(
+        sum(v * vec[j] for j, v in row.items()) for row in leibniz_rows(P.B, P.core, P.grade)
+    )
 
 
 def check_mP(P: DiffOperator, d: int) -> bool:
@@ -1033,18 +1008,12 @@ def symbol_exactness(B: GradedTarget, n: int, grade: int = 0) -> dict:
     for sigma in all_epis(n, n - 1):
         for Q in basis_lower:
             deg_vecs.append(op_vector(degeneracy(sigma, Q), full_layout))
-    deg_rank = span_rank(deg_vecs)
+    deg = span_echelon(deg_vecs, full_layout["total"])
+    deg_rank = deg.rank
     kernel_dim = len(basis_n) - sym_rank
-    # membership: every kernel element lies in the degeneracy span
+    # membership: every combination of basis_n with zero symbol lies in
+    # the degeneracy span
     ker_ok = True
-    ech = SparseEchelon(fine_layout["total"])
-    kernel_members = []
-    for P in basis_n:
-        v = op_vector(symbol(P), fine_layout)
-        if not ech.add_row({j: x for j, x in enumerate(v) if x}):
-            kernel_members.append(P)
-    # the kernel of the symbol on the span: find exact combinations
-    # solve: which combinations of basis_n have zero symbol
     sym_matrix = Matrix.from_cols(sym_vecs, nrows=fine_layout["total"]) if basis_n else Matrix.zeros(0, 0)
     ker_coeffs = sym_matrix.nullspace() if basis_n else []
     for coeffs in ker_coeffs:
@@ -1053,7 +1022,7 @@ def symbol_exactness(B: GradedTarget, n: int, grade: int = 0) -> dict:
             if c:
                 pv = op_vector(P, full_layout)
                 vec = [x + c * y for x, y in zip(vec, pv)]
-        if not in_span(deg_vecs, vec):
+        if not deg.contains({j: x for j, x in enumerate(vec) if x}):
             ker_ok = False
             break
     return {

@@ -132,3 +132,45 @@ def test_aut_build_k2():
     r = run_cli("aut-build", "--algebra", "k2")
     assert r.returncode == 0
     assert json.loads(r.stdout)["valid"] is True
+
+
+# Subcommands that take --order/--grade, with the positional arguments each needs.
+ORDER_GRADE_COMMANDS = {
+    "dims": [],
+    "solve": [],
+    "compose": ["left.json", "right.json"],
+    "symbol": [],
+    "verify": [],
+    "aut-build": [],
+    "aut-probe": [],
+}
+
+
+def _rejected(argv, capsys):
+    from planarprop.cli import main
+
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--order", "-2"],
+        ["solve", "--order", "-1"],
+        ["dims", "--order", "1", "--grade", "-1"],
+        ["symbol", "--order", "0"],
+    ],
+)
+def test_bad_order_or_grade_exits_2(argv, capsys):
+    _rejected(argv, capsys)
+
+
+@pytest.mark.parametrize("command", sorted(ORDER_GRADE_COMMANDS))
+@pytest.mark.parametrize("flag", ["--order", "--grade"])
+def test_negative_order_or_grade_rejected_everywhere(command, flag, capsys):
+    err = _rejected([command, *ORDER_GRADE_COMMANDS[command], "--order", "1", flag, "-1"], capsys)
+    assert flag in err

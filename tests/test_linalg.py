@@ -1,8 +1,10 @@
 """Exact rational matrices: elimination, spans, Kronecker products."""
 
+import math
 import random
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from planarprop.linalg import Matrix, SparseEchelon, in_span, span_rank
@@ -86,3 +88,73 @@ def test_hstack_vstack_shapes():
     B = Matrix.zeros(2, 3)
     assert A.hstack(B).ncols == 5
     assert A.vstack(Matrix.zeros(3, 2)).nrows == 5
+
+
+def _sparse_rows(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+@st.composite
+def st_rows_with_repeats(draw):
+    """Rational rows (negative and non-integral entries included) with
+    zero and duplicate rows mixed in, in a shuffled order."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(fracs, min_size=ncols, max_size=ncols), min_size=1, max_size=6))
+    rows += [[Fraction(0)] * ncols] * draw(st.integers(0, 2))
+    for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        rows.append([x * draw(fracs.filter(bool)) for x in rows[k]])
+    return ncols, draw(st.permutations(rows))
+
+
+@given(st_rows_with_repeats())
+def test_sparse_echelon_nullspace_equals_dense(case):
+    ncols, rows = case
+    se = SparseEchelon(ncols)
+    for row in _sparse_rows(rows):
+        se.add_row(row)
+    dense = Matrix(rows)
+    assert se.rank == dense.rank()
+    assert se.nullspace() == dense.nullspace()
+
+
+@given(st_rows_with_repeats())
+def test_sparse_echelon_rows_are_primitive_integers(case):
+    ncols, rows = case
+    se = SparseEchelon(ncols)
+    for row in _sparse_rows(rows):
+        se.add_row(row)
+    for lead, row in se.pivot_rows.items():
+        assert lead == min(row) and row[lead] > 0
+        assert all(type(v) is int for v in row.values())
+        assert math.gcd(*row.values()) == 1
+
+
+@given(st_rows_with_repeats(), st.data())
+def test_contains_matches_rank(case, data):
+    ncols, rows = case
+    se = SparseEchelon(ncols)
+    for row in _sparse_rows(rows):
+        se.add_row(row)
+    target = data.draw(st.lists(fracs, min_size=ncols, max_size=ncols))
+    member = se.contains({j: v for j, v in enumerate(target) if v})
+    assert member == (Matrix(rows + [target]).rank() == se.rank)
+    assert member == in_span(rows, target)
+
+
+def test_rref_matches_sympy():
+    rng = random.Random(5)
+    for _ in range(40):
+        n, m = rng.randint(1, 5), rng.randint(1, 7)
+        rows = [
+            [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) * rng.randint(0, 1) for _ in range(m)]
+            for _ in range(n)
+        ]
+        se = SparseEchelon(m)
+        for row in _sparse_rows(rows):
+            se.add_row(row)
+        red, pivots = sympy.Matrix(rows).rref()
+        expected = {
+            pc: {j: Fraction(int(x.p), int(x.q)) for j, x in enumerate(red.row(k)) if x}
+            for k, pc in enumerate(pivots)
+        }
+        assert se.rref() == expected
