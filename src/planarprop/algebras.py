@@ -24,14 +24,17 @@ class AlgebraError(ValueError):
     pass
 
 
-def _parse_q(s) -> Fraction:
-    if isinstance(s, str):
-        return Fraction(s)
-    return Fraction(s)
-
-
-def _show_q(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+def _entries(obj, shape: tuple[int, ...], what: str):
+    """A nested list of the given shape from a spec file, as nested tuples
+    of Fractions; raises AlgebraError(what) when it is misshapen."""
+    if not shape:
+        try:
+            return Fraction(obj)
+        except (TypeError, ValueError):
+            raise AlgebraError(f"{what}, got the entry {obj!r}")
+    if not isinstance(obj, list) or len(obj) != shape[0]:
+        raise AlgebraError(what)
+    return tuple(_entries(x, shape[1:], what) for x in obj)
 
 
 @dataclass(frozen=True)
@@ -97,18 +100,23 @@ class FinAlgebra:
         return {
             "dim": self.dim,
             "basis": list(self.basis_names),
-            "unit": [_show_q(x) for x in self.unit],
-            "mult": [[[_show_q(c) for c in row] for row in plane] for plane in self.mult],
+            "unit": [str(x) for x in self.unit],
+            "mult": [[[str(c) for c in row] for row in plane] for plane in self.mult],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "FinAlgebra":
+        if not isinstance(obj, dict):
+            raise AlgebraError("an algebra spec must be a JSON object")
         dim = obj["dim"]
-        mult = tuple(
-            tuple(tuple(_parse_q(c) for c in row) for row in plane) for plane in obj["mult"]
-        )
-        unit = tuple(_parse_q(x) for x in obj["unit"])
-        return cls(dim, mult, unit, tuple(obj.get("basis", ())))
+        if not isinstance(dim, int) or dim < 1:
+            raise AlgebraError(f"dim must be a positive integer, got {dim!r}")
+        mult = _entries(obj["mult"], (dim, dim, dim), f"mult must be a {dim}x{dim}x{dim} array of rationals")
+        unit = _entries(obj["unit"], (dim,), f"unit must be a list of {dim} rationals")
+        basis = obj.get("basis", ())
+        if basis and (not isinstance(basis, list) or len(basis) != dim):
+            raise AlgebraError(f"basis must list {dim} names")
+        return cls(dim, mult, unit, tuple(basis))
 
 
 def check_algebra(A: FinAlgebra) -> None:

@@ -12,20 +12,13 @@ import hashlib
 import json
 import random
 import sys
+from fractions import Fraction
 
 from . import __version__
-from .algebras import (
-    AlgebraError,
-    FinAlgebra,
-    GradedTarget,
-    check_algebra,
-    dual_numbers,
-    kxk,
-    load_algebra,
-    m2,
-)
+from .algebras import STANDARD_ALGEBRAS, AlgebraError, FinAlgebra, GradedTarget, check_algebra, load_algebra
 from .families import FamilyError, from_derivations, lift_derivation, surjectivity_probe, validate_aut
 from .graphs import GraphError, NotPlanar, PlanarGraph
+from .linalg import Matrix
 from .operators import (
     DiffOperator,
     check_leibniz,
@@ -37,11 +30,24 @@ from .operators import (
     solve_Dn,
     symbol,
     symbol_exactness,
+    unit_operator,
     v_compose,
 )
-from .props import PropError, braid_check, eval_expr, eval_nf, normalize, parse_expr, print_expr
-
-STANDARD = {"dualnum": dual_numbers, "k2": kxk, "m2": m2}
+from .props import (
+    EndProp,
+    Gen,
+    HComp,
+    PropError,
+    Unit,
+    VComp,
+    arity,
+    braid_check,
+    eval_expr,
+    eval_nf,
+    normalize,
+    parse_expr,
+    print_expr,
+)
 
 
 class CliError(Exception):
@@ -51,8 +57,8 @@ class CliError(Exception):
 
 
 def _load_algebra(spec: str) -> tuple[FinAlgebra, str]:
-    if spec in STANDARD:
-        A = STANDARD[spec]()
+    if spec in STANDARD_ALGEBRAS:
+        A = STANDARD_ALGEBRAS[spec]()
     else:
         try:
             A = load_algebra(spec)
@@ -277,22 +283,14 @@ def cmd_verify(args) -> int:
         a = rng.choice(pool)
         b = rng.choice(pool)
         qa, qb = len(a.shape), len(b.shape)
-        from .operators import unit_operator
-
         lhs = v_compose(h_compose(a, unit_operator(B, qb)), h_compose(unit_operator(B, qa), b))
         if lhs != h_compose(a, b):
             ok_c = False
     record("compatibility_relation", ok_c)
 
-    from fractions import Fraction
-
-    from .linalg import Matrix
-
     swap = Matrix.zeros(4, 4)
     swap.rows[0][0] = swap.rows[1][2] = swap.rows[2][1] = swap.rows[3][3] = Fraction(1)
     record("braid_swap", braid_check(swap, 2))
-
-    from .props import EndProp, Gen
 
     P = EndProp(2)
     exprs_ok = True
@@ -326,8 +324,6 @@ def cmd_verify(args) -> int:
 
 
 def _gens_of(e):
-    from .props import Gen, HComp, VComp
-
     match e:
         case Gen():
             yield e
@@ -337,8 +333,6 @@ def _gens_of(e):
 
 
 def _random_expr(rng, depth: int):
-    from .props import Gen, HComp, HUnit, Unit, VComp, arity
-
     def atom():
         r = rng.random()
         if r < 0.2:
@@ -378,7 +372,6 @@ def main(argv=None) -> int:
             p.add_argument("--algebra", default="dualnum", help="spec file or one of dualnum, k2, m2")
         p.add_argument("--order", type=int, default=None)
         p.add_argument("--shape", default=None)
-        p.add_argument("--type", dest="type_tag", default=None)
         p.add_argument("--grade", type=int, default=0)
 
     p = sub.add_parser("dims", help="dimensions of operator spaces")

@@ -65,14 +65,11 @@ class AutFamily:
         return m
 
     def to_json(self) -> dict:
-        def show(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
         return {
             "alphabet": self.n_letters,
             "truncation": self.N,
             "maps": [
-                {"word": list(w), "matrix": [[show(x) for x in row] for row in m.rows]}
+                {"word": list(w), "matrix": [[str(x) for x in row] for row in m.rows]}
                 for w, m in sorted(self.maps.items(), key=lambda t: (len(t[0]), t[0]))
             ],
         }
@@ -91,32 +88,24 @@ def identity_family(B: GradedTarget, n_letters: int, N: int = 3) -> AutFamily:
 
 
 def validate_aut(phi: AutFamily) -> tuple[bool, tuple | None]:
-    """Check multiplicativity for every word up to the truncation and
-    every basis pair; returns (ok, first failing (word, i, j))."""
+    """Check multiplicativity for every word up to the truncation, as an
+    identity of maps A (x) A -> A^{(|w|+1)}; returns (ok, first failing
+    (word, i, j)), the basis pair read off the first column that differs."""
     B = phi.B
     a = B.A.dim
+    mm = B.A.mult_matrix()
     for w in _words(phi.n_letters, phi.N):
         k = len(w)
-        split_data = []
+        lhs = phi.word_map(w) @ mm
+        rhs = Matrix.zeros(lhs.nrows, lhs.ncols)
         for cut in range(k + 1):
-            w1, w2 = w[:cut], w[cut:]
-            m1, m2 = phi.word_map(w1), phi.word_map(w2)
+            m1, m2 = phi.word_map(w[:cut]), phi.word_map(w[cut:])
             if m1.is_zero() or m2.is_zero():
                 continue
-            split_data.append((B.mB_matrix(cut, k - cut), m1, m2))
-        target = phi.word_map(w)
-        for i in range(a):
-            for j in range(a):
-                prod = B.A.mul_vec(B.A.basis_vec(i), B.A.basis_vec(j))
-                lhs = target.apply(prod)
-                rhs = [Fraction(0)] * len(lhs)
-                for mb, m1, m2 in split_data:
-                    v1 = m1.col(i)
-                    v2 = m2.col(j)
-                    joint = [x * y for x in v1 for y in v2]
-                    rhs = [r + v for r, v in zip(rhs, mb.apply(joint))]
-                if lhs != rhs:
-                    return False, (w, i, j)
+            rhs = rhs + B.mB_matrix(cut, k - cut) @ m1.kron(m2)
+        if lhs != rhs:
+            col = next(c for c in range(a * a) if lhs.col(c) != rhs.col(c))
+            return False, (w, col // a, col % a)
     return True, None
 
 

@@ -64,10 +64,6 @@ class Matrix:
                 m.rows[i][j] = _frac(x)
         return m
 
-    @classmethod
-    def column(cls, vec: Sequence) -> "Matrix":
-        return cls([[x] for x in vec])
-
     # -- basic access -------------------------------------------------
 
     def col(self, j: int) -> list[Fraction]:
@@ -217,11 +213,6 @@ class Matrix:
         for pr, pc in enumerate(pivots):
             x[pc] = red.rows[pr][self.ncols]
         return x
-
-
-def nullspace(m: Matrix) -> list[list[Fraction]]:
-    """Module-level alias; kernel basis of a rational matrix."""
-    return m.nullspace()
 
 
 class SparseEchelon:

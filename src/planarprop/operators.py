@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebras import GradedTarget
-from .linalg import Matrix, Q0, SparseEchelon, in_span, span_echelon, span_rank
+from .linalg import Matrix, Q0, SparseEchelon, span_echelon, span_rank
 from .ordinals import MonotoneMap, all_epis, compose, merge
 from .partitions import (
     OrderedPartition,
@@ -203,9 +203,6 @@ class DiffOperator:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
-        def show(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
         comps = []
         for kappa in sorted(self.components, key=lambda k: (len(k), k)):
             for g in sorted(self.components[kappa]):
@@ -214,7 +211,7 @@ class DiffOperator:
                     {
                         "refinement": list(kappa),
                         "grades": list(g),
-                        "matrix": [[show(x) for x in row] for row in m.rows],
+                        "matrix": [[str(x) for x in row] for row in m.rows],
                     }
                 )
         return {
@@ -327,20 +324,6 @@ def extend_degenerate(P: DiffOperator, lam_prime: tuple[int, ...]) -> dict[tuple
 
 
 # -- the Leibniz system ------------------------------------------------
-
-
-def _slot_insert(B: GradedTarget, g_ext: tuple[int, ...], i: int, mat: Matrix) -> Matrix:
-    """I (x) mat (x) I landing in the slot-i factor of the output layout
-    g_ext; mat's input width may differ from its output width (junction
-    products consume a refined pair of slots)."""
-    a = B.A.dim
-    pre = 1
-    for gj in g_ext[:i]:
-        pre *= a ** (gj + 1)
-    post = 1
-    for gj in g_ext[i + 1 :]:
-        post *= a ** (gj + 1)
-    return Matrix.identity(pre).kron(mat).kron(Matrix.identity(post))
 
 
 def _iter_constraints(core: tuple[int, ...], grade: int):
@@ -511,73 +494,35 @@ def check_leibniz(P: DiffOperator) -> bool:
 def check_mP(P: DiffOperator, d: int) -> bool:
     """The collapsed identity: the top component applied to a d-fold
     product equals the sum over all size-d indices (including degenerate
-    ones) of the fully multiplied finer components."""
+    ones) of the fully multiplied finer components.  Both sides are maps
+    A^{(x)d} -> B_grade, compared as whole matrices."""
     B = P.B
     a = B.A.dim
     n = P.order
     if len(P.core) != 1 and n > 0:
         raise OperatorError("check_mP applies to single-slot shapes")
+    mm = B.A.mult_matrix()
+    prod = Matrix.identity(a)
+    for _ in range(d - 1):
+        prod = mm @ prod.kron(Matrix.identity(a))
     top = P.block((n,), (P.grade,)) if n > 0 else P.block((), ())
-    for tup in itertools.product(range(a), repeat=d):
-        prod = B.A.basis_vec(tup[0])
-        for t in tup[1:]:
-            prod = B.A.mul_vec(prod, B.A.basis_vec(t))
-        if n > 0:
-            lhs = [Q0] * (a ** (P.grade + 1))
-            if top is not None:
-                for k, c in enumerate(prod):
-                    if c:
-                        lhs = [x + c * v for x, v in zip(lhs, top.col(k))]
-        else:
-            lhs = B.f_vec(prod) if top is not None else [Q0] * a
-        rhs = [Q0] * len(lhs)
-        col = 0
-        for t in tup:
-            col = col * a + t
-        for lam in enumerate_partitions(n, d):
-            for g_ext, M in extend_degenerate(P, lam.parts).items():
-                vec = M.col(col)
-                # collapse all slots with the iterated product of B
-                gg = list(g_ext)
-                while len(gg) > 1:
-                    ins = _slot_insert(B, tuple([gg[0] + gg[1]] + gg[2:]), 0, B.mB_matrix(gg[0], gg[1]))
-                    vec = ins.apply(vec)
-                    gg = [gg[0] + gg[1]] + gg[2:]
-                rhs = [x + v for x, v in zip(rhs, vec)]
-        if lhs != rhs:
-            return False
-    return True
-
-
-def sub_operator(P: DiffOperator, lam: tuple[int, ...], i: int, fixed: list[tuple[int, ...]]):
-    """Partial application: fix algebra basis inputs in all slots except
-    slot i (0-based) of the index lam; returns the family mu -> matrix
-    over refinements mu of (lam_i), each with the fixed inputs substituted
-    (tensor factors of the other slots retained in the output)."""
-    lam = tuple(lam)
-    if len(fixed) != len(lam) - 1:
-        raise OperatorError("need one fixed input per slot other than slot i")
-    a = P.B.A.dim
-    out = {}
-    for mu in enumerate_partitions(lam[i], 1, nondegenerate_only=True) + [
-        m for k in range(2, lam[i] + 1) for m in enumerate_partitions(lam[i], k, nondegenerate_only=True)
-    ]:
-        spliced = lam[:i] + mu.parts + lam[i + 1 :]
-        for g_ext, M in extend_degenerate(P, spliced).items():
-            k = len(mu.parts)
-            cols = []
-            for free in itertools.product(range(a), repeat=k):
-                col = 0
-                fi = iter(fixed)
-                free_i = iter(free)
-                for j in range(len(spliced)):
-                    if i <= j < i + k:
-                        col = col * a + next(free_i)
-                    else:
-                        col = col * a + next(fi)
-                cols.append(M.col(col))
-            out.setdefault(mu.parts, {})[g_ext] = Matrix.from_cols(cols, nrows=M.nrows)
-    return out
+    if top is None:
+        lhs = Matrix.zeros(a ** (P.grade + 1), a**d)
+    elif n > 0:
+        lhs = top @ prod
+    else:
+        lhs = (B.f.matrix @ prod).scale(top.rows[0][0])
+    rhs = Matrix.zeros(lhs.nrows, lhs.ncols)
+    for lam in enumerate_partitions(n, d):
+        for g_ext, M in extend_degenerate(P, lam.parts).items():
+            # collapse the first two slots with the product of B until one is left
+            gg = list(g_ext)
+            while len(gg) > 1:
+                post = a ** sum(gj + 1 for gj in gg[2:])
+                M = B.mB_matrix(gg[0], gg[1]).kron(Matrix.identity(post)) @ M
+                gg = [gg[0] + gg[1]] + gg[2:]
+            rhs = rhs + M
+    return lhs == rhs
 
 
 # -- compositions ------------------------------------------------------
@@ -882,11 +827,7 @@ def _epi_with_fiber_sizes(sizes) -> MonotoneMap:
     return MonotoneMap(len(vals), len(sizes), tuple(vals))
 
 
-# -- genus, positivity, degeneracies, symbol ---------------------------
-
-
-def genus(P: DiffOperator) -> int:
-    return P.genus()
+# -- positivity, degeneracies, symbol ---------------------------------
 
 
 def is_totally_positive(P: DiffOperator) -> bool:
@@ -975,18 +916,6 @@ def vector_layout(B: GradedTarget, shape, grade) -> dict:
             blocks[(kappa, g)] = (pos, nr, nc)
             pos += nr * nc
     return {"blocks": blocks, "total": pos}
-
-
-def filtration_membership(P: DiffOperator, n: int, lower_basis: list[DiffOperator]) -> bool:
-    """Whether P lies in the span of all degeneracy images of the given
-    basis of the order-n space."""
-    m = P.order
-    layout = vector_layout(P.B, P.shape, P.grade)
-    spanning = []
-    for sigma in all_epis(m, n):
-        for Q in lower_basis:
-            spanning.append(op_vector(degeneracy(sigma, Q), layout))
-    return in_span(spanning, op_vector(P, layout))
 
 
 def symbol_exactness(B: GradedTarget, n: int, grade: int = 0) -> dict:

@@ -10,21 +10,12 @@ star-duality into plain set operations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 
 class OrdinalError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Ordinal:
-    size: int
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise OrdinalError("ordinal size must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -52,13 +43,6 @@ class MonotoneMap:
     @classmethod
     def identity(cls, n: int) -> "MonotoneMap":
         return cls(n, n, tuple(range(1, n + 1)))
-
-    @classmethod
-    def constant(cls, dom: int, cod: int, value: int) -> "MonotoneMap":
-        return cls(dom, cod, (value,) * dom)
-
-    def is_identity(self) -> bool:
-        return self.dom == self.cod and self.values == tuple(range(1, self.dom + 1))
 
     def fiber(self, t: int) -> list[int]:
         return [i for i in range(1, self.dom + 1) if self.values[i - 1] == t]
@@ -202,10 +186,6 @@ def star_dual_epi(rho: MonotoneMap) -> MonotoneMap:
     """Epi [m] ->> [n]  ->  mono [n-1] -> [m-1] whose image is the cut-set."""
     cuts = sorted(cut_set(rho))
     return MonotoneMap(rho.cod - 1, rho.dom - 1, tuple(cuts))
-
-
-def mono_from_image(m: int, image: set[int]) -> MonotoneMap:
-    return MonotoneMap(len(image), m, tuple(sorted(image)))
 
 
 def all_monotone_maps(m: int, n: int):

@@ -47,6 +47,39 @@ def test_invalid_algebra_exits_2():
     assert r.stdout == ""  # nothing emitted on failure
 
 
+def _drop_last_row_of_plane_1(spec):
+    spec["mult"][1].pop()
+
+
+def _shorten_an_inner_row(spec):
+    spec["mult"][0][1].pop()
+
+
+def _zero_dim(spec):
+    spec["dim"] = 0
+
+
+def _short_unit(spec):
+    spec["unit"].pop()
+
+
+def _extra_basis_name(spec):
+    spec["basis"].append("y")
+
+
+@pytest.mark.parametrize(
+    "breakage",
+    [_drop_last_row_of_plane_1, _shorten_an_inner_row, _zero_dim, _short_unit, _extra_basis_name],
+)
+def test_misshapen_spec_exits_2(breakage, tmp_path, capsys):
+    spec = json.loads((DATA / "dualnum.json").read_text())
+    breakage(spec)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    err = _rejected(["dims", "--algebra", str(path), "--order", "1"], capsys)
+    assert "not two-sided" not in err
+
+
 def test_solve_and_compose_round_trip(tmp_path):
     r = run_cli("solve", "--algebra", "dualnum", "--order", "2",
                 "--out", str(tmp_path / "basis.json"))

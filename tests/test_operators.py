@@ -81,6 +81,12 @@ class TestSolver:
                     for d in range(1, n + 2):
                         assert check_mP(P, d)
 
+    @pytest.mark.parametrize("c", [Fraction(2), Fraction(-1), Fraction(1, 2)])
+    def test_collapse_identity_is_linear_at_order_zero(self, targets, c):
+        for B in targets.values():
+            for d in (1, 2, 3):
+                assert check_mP(unit_operator(B).scale(c), d)
+
     def test_second_order_example_identity(self, targets):
         # P(ab) = P(a) b + a P(b) + m(P_{11}(a x b)) for the top and the
         # finest block of every second-order element
