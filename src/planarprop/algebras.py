@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Q0, Q1, SparseEchelon
+from .linalg import Matrix, Q0, Q1, SparseEchelon, _exact
 
 
 class AlgebraError(ValueError):
@@ -121,19 +121,32 @@ class FinAlgebra:
 
 def check_algebra(A: FinAlgebra) -> None:
     """Associativity on all basis triples and two-sidedness of the unit;
-    raises with the offending triple."""
+    raises with the offending triple.  Both are read straight off the
+    structure constants, in ints when they are integral."""
     if len(A.unit) != A.dim:
         raise AlgebraError("unit vector has wrong length")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                lhs = A.mul_vec(A.mul_vec(A.basis_vec(i), A.basis_vec(j)), A.basis_vec(k))
-                rhs = A.mul_vec(A.basis_vec(i), A.mul_vec(A.basis_vec(j), A.basis_vec(k)))
+    n = range(A.dim)
+    c = [[[_exact(x) for x in row] for row in plane] for plane in A.mult]
+    # nonzero constants of each basis product e_i e_j
+    nz = [[[(m, x) for m, x in enumerate(c[i][j]) if x] for j in n] for i in n]
+
+    def combo(terms, planes):
+        """sum over (m, x) in terms of x * planes[m], a vector over the basis"""
+        return [sum(x * planes[m][t] for m, x in terms) for t in n]
+
+    right = [[c[m][k] for m in n] for k in n]  # right[k][m]: e_m e_k
+    for i in n:
+        for j in n:
+            for k in n:
+                # (e_i e_j) e_k against e_i (e_j e_k)
+                lhs = combo(nz[i][j], right[k])
+                rhs = combo(nz[j][k], c[i])
                 if lhs != rhs:
                     raise AlgebraError(f"associativity fails at basis triple ({i},{j},{k})")
-    for i in range(A.dim):
-        e = A.basis_vec(i)
-        if A.mul_vec(list(A.unit), e) != e or A.mul_vec(e, list(A.unit)) != e:
+    unit = [(m, _exact(x)) for m, x in enumerate(A.unit) if x]
+    for i in n:
+        e = [int(t == i) for t in n]
+        if combo(unit, right[i]) != e or combo(unit, c[i]) != e:
             raise AlgebraError(f"unit is not two-sided at basis element {i}")
 
 

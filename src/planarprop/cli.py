@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebras import STANDARD_ALGEBRAS, AlgebraError, FinAlgebra, GradedTarget, check_algebra, load_algebra
+from .algebras import STANDARD_ALGEBRAS, AlgebraError, FinAlgebra, GradedTarget, check_algebra
 from .families import FamilyError, from_derivations, lift_derivation, surjectivity_probe, validate_aut
 from .graphs import GraphError, NotPlanar, PlanarGraph
 from .linalg import Matrix
@@ -56,21 +56,29 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_algebra(spec: str) -> tuple[FinAlgebra, str]:
+def _read_algebra(spec: str) -> tuple[FinAlgebra, str]:
+    """The algebra a spec names, not yet checked, and its digest."""
     if spec in STANDARD_ALGEBRAS:
         A = STANDARD_ALGEBRAS[spec]()
     else:
         try:
-            A = load_algebra(spec)
+            with open(spec) as fh:
+                A = FinAlgebra.from_json(json.load(fh))
         except (OSError, KeyError, ValueError) as e:
             raise CliError(f"cannot load algebra spec {spec!r}: {e}")
+    digest = hashlib.sha256(
+        json.dumps(A.to_json(), sort_keys=True).encode()
+    ).hexdigest()[:16]
+    return A, digest
+
+
+def _load_algebra(spec: str) -> tuple[FinAlgebra, str]:
+    """The algebra a spec names and its digest, checked once."""
+    A, digest = _read_algebra(spec)
     try:
         check_algebra(A)
     except AlgebraError as e:
         raise CliError(f"algebra spec {spec!r} is invalid: {e}")
-    digest = hashlib.sha256(
-        json.dumps(A.to_json(), sort_keys=True).encode()
-    ).hexdigest()[:16]
     return A, digest
 
 
@@ -238,6 +246,9 @@ def cmd_aut_build(args) -> int:
     report = _header(args, digest)
     report["letters"] = len(lifts)
     report["valid"] = ok
+    if not ok:
+        w, i, j = where
+        report["counterexample"] = {"word": list(w), "i": i, "j": j}
     report["family"] = phi.to_json()
     _emit(report, args)
     return 0 if ok else 1
@@ -255,8 +266,7 @@ def cmd_aut_probe(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    A, digest = _load_algebra(args.algebra)
-    B = GradedTarget(A)
+    A, digest = _read_algebra(args.algebra)
     rng = random.Random(args.seed)
     results = []
 
@@ -266,8 +276,15 @@ def cmd_verify(args) -> int:
             entry["counterexample"] = detail
         results.append(entry)
 
+    try:
+        check_algebra(A)
+    except AlgebraError as e:
+        # the other invariants presuppose an associative unital algebra
+        record("algebra_associative_unital", False, str(e))
+        return _verify_report(args, digest, results)
     record("algebra_associative_unital", True)
 
+    B = GradedTarget(A)
     basis1 = solve_Dn(B, 1, 0)
     record("derivations_satisfy_leibniz", all(check_leibniz(P) for P in basis1))
     max_n = 2 if A.dim > 2 else 3
@@ -315,7 +332,10 @@ def cmd_verify(args) -> int:
         if not P.equal(lhs, rhs):
             exprs_ok = False
     record("normal_form_soundness", exprs_ok)
+    return _verify_report(args, digest, results)
 
+
+def _verify_report(args, digest: str, results: list[dict]) -> int:
     report = _header(args, digest)
     report["results"] = results
     report["all_pass"] = all(r["pass"] for r in results)

@@ -24,6 +24,11 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _exact(x: Fraction):
+    """x as an int when integral, so integral constants give integer sums."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Matrix:
     """Dense matrix over the rationals."""
 
@@ -222,10 +227,10 @@ class SparseEchelon:
     denominators and eliminates fraction-free, so every stored pivot row
     is a primitive integer row (content 1, positive lead) keyed by its
     lead column.  `rref()` emits the canonical reduced echelon form, the
-    only place `Fraction`s are built, and `nullspace()` returns the same
-    basis as dense RREF of the stacked rows would (the fully reduced
-    echelon form of a row space is unique, so the result does not depend
-    on insertion order).
+    only place `Fraction`s are built, and `nullspace()` returns, as sparse
+    vectors, the same basis as dense RREF of the stacked rows would (the
+    fully reduced echelon form of a row space is unique, so the result
+    does not depend on insertion order).
     """
 
     def __init__(self, ncols: int):
@@ -294,31 +299,28 @@ class SparseEchelon:
             out[lead] = {j: Fraction(v, p) for j, v in row.items()}
         return out
 
-    def nullspace(self) -> list[list[Fraction]]:
-        """One kernel vector per free column, free columns in increasing
-        order."""
+    def nullspace(self) -> list[dict[int, Fraction]]:
+        """One sparse kernel vector (index -> nonzero entry, in increasing
+        index order) per free column, free columns in increasing order:
+        the free column j carries 1, and each pivot column the negated
+        entry at j of its RREF row."""
         rref = self.rref()
-        entries: dict[int, list[tuple[int, Fraction]]] = {}
+        basis: dict[int, dict[int, Fraction]] = {j: {} for j in range(self.ncols) if j not in rref}
         for pc, prow in rref.items():
             for j, c in prow.items():
                 if j != pc:
-                    entries.setdefault(j, []).append((pc, -c))
-        basis = []
-        for j in range(self.ncols):
-            if j in rref:
-                continue
-            v = [Q0] * self.ncols
+                    basis[j][pc] = -c
+        for j, v in basis.items():
             v[j] = Q1
-            for pc, c in entries.get(j, ()):
-                v[pc] = c
-            basis.append(v)
-        return basis
+        return list(basis.values())
 
 
 def _integral(row: dict[int, Fraction]) -> dict[int, int]:
     """The nonzero entries of a rational row times the lcm of their
-    denominators."""
+    denominators; an all-int row keeps its entries as they are."""
     row = {j: v for j, v in row.items() if v}
+    if all(type(v) is int for v in row.values()):
+        return row
     den = lcm(*(v.denominator for v in row.values()))
     return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
 

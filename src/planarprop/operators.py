@@ -26,12 +26,13 @@ ever applied to the stored matrices when retagging.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .algebras import GradedTarget
-from .linalg import Matrix, Q0, SparseEchelon, span_echelon, span_rank
+from .linalg import Matrix, Q0, SparseEchelon, _exact, span_echelon, span_rank
 from .ordinals import MonotoneMap, all_epis, compose, merge
 from .partitions import (
     OrderedPartition,
@@ -329,18 +330,13 @@ def extend_degenerate(P: DiffOperator, lam_prime: tuple[int, ...]) -> dict[tuple
 def _iter_constraints(core: tuple[int, ...], grade: int):
     """The constraint blocks of a shape core at a fixed total grade, in
     system order: tuples (kappa, i, g), one per stored refinement kappa,
-    grade vector g and slot i."""
-    for kappa in _core_refinements(core):
+    grade vector g and slot i, the finest refinement first."""
+    for kappa in reversed(_core_refinements(core)):
         if not kappa:
             continue
         for g in _gradevecs(len(kappa), grade):
             for i in range(len(kappa)):
                 yield kappa, i, g
-
-
-def _exact(x: Fraction):
-    """x as an int when integral, so integral constants give integer rows."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
@@ -359,7 +355,16 @@ def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
 
     each term found by index arithmetic on tensor coordinates.  Rows come
     in the order of `_iter_constraints`, then rest, r, s and row; zero
-    rows are skipped."""
+    rows are skipped.
+
+    The blocks come finest refinement first.  A constraint at kappa
+    involves only kappa and its one-step refinements, and those at the
+    finest refinement form a closed system (each slot a derivation), so
+    the system is triangular over refinements.  Fed in this order, an
+    elimination reduces each coarser row against a complete echelon of
+    the finer blocks instead of storing a partly reduced tail as fill;
+    the row set, and with it the reduced echelon form, is the same in
+    any order."""
     A = B.A
     a = A.dim
     c = [[[_exact(x) for x in row] for row in plane] for plane in A.mult]
@@ -463,13 +468,20 @@ def solve_D(B: GradedTarget, shape: tuple[int, ...], grade: int = 0) -> list[Dif
     ech = SparseEchelon(layout["total"])
     for row in leibniz_rows(B, core, grade):
         ech.add_row(row)
+    # each kernel entry lands in the block whose offset is the last one
+    # at or below its index
+    blocks = list(layout["blocks"].items())
+    offsets = [off for _, (off, _, _) in blocks]
     basis = []
     for vec in ech.nullspace():
         comps: dict = {}
-        for (kappa, g), (off, nr, nc) in layout["blocks"].items():
-            m = Matrix([vec[off + r * nc : off + (r + 1) * nc] for r in range(nr)])
-            if not m.is_zero():
-                comps.setdefault(kappa, {})[g] = m
+        for idx, v in vec.items():
+            (kappa, g), (off, nr, nc) = blocks[bisect_right(offsets, idx) - 1]
+            dst = comps.setdefault(kappa, {})
+            if g not in dst:
+                dst[g] = Matrix.zeros(nr, nc)
+            r, col = divmod(idx - off, nc)
+            dst[g].rows[r][col] = v
         basis.append(DiffOperator(B, shape, grade, comps))
     return basis
 

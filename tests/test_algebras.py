@@ -1,11 +1,14 @@
 """Finite-dimensional algebras and the graded tensor target."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from test_leibniz import conjugate
 
 from planarprop.algebras import (
+    STANDARD_ALGEBRAS,
     AlgebraError,
     AlgebraMorphism,
     FinAlgebra,
@@ -49,6 +52,56 @@ def test_non_associative_rejected():
     bad[1][0][0] = Fraction(1)  # breaks both unitality and associativity
     with pytest.raises(AlgebraError):
         check_algebra(FinAlgebra(2, tuple(tuple(tuple(r) for r in p) for p in bad), (Fraction(1), Fraction(0))))
+
+
+def reference_check_algebra(A: FinAlgebra) -> None:
+    """check_algebra written with FinAlgebra.mul_vec on basis vectors."""
+    if len(A.unit) != A.dim:
+        raise AlgebraError("unit vector has wrong length")
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                lhs = A.mul_vec(A.mul_vec(A.basis_vec(i), A.basis_vec(j)), A.basis_vec(k))
+                rhs = A.mul_vec(A.basis_vec(i), A.mul_vec(A.basis_vec(j), A.basis_vec(k)))
+                if lhs != rhs:
+                    raise AlgebraError(f"associativity fails at basis triple ({i},{j},{k})")
+    for i in range(A.dim):
+        e = A.basis_vec(i)
+        if A.mul_vec(list(A.unit), e) != e or A.mul_vec(e, list(A.unit)) != e:
+            raise AlgebraError(f"unit is not two-sided at basis element {i}")
+
+
+def _verdict(check, A):
+    try:
+        check(A)
+    except AlgebraError as e:
+        return str(e)
+    return None
+
+
+def _bumped(A: FinAlgebra, step: Fraction):
+    """Every copy of A with one structure constant or one unit entry
+    raised by step."""
+    n = range(A.dim)
+    for i, j, k in itertools.product(n, n, n):
+        mult = [[list(row) for row in plane] for plane in A.mult]
+        mult[i][j][k] += step
+        yield FinAlgebra(A.dim, tuple(tuple(tuple(r) for r in p) for p in mult), A.unit)
+    for i in n:
+        unit = list(A.unit)
+        unit[i] += step
+        yield FinAlgebra(A.dim, A.mult, tuple(unit))
+
+
+@pytest.mark.parametrize("name", ["dualnum", "k2", "m2"])
+@pytest.mark.parametrize("kind", ["std", "conj"])
+def test_check_algebra_matches_mul_vec_reference(name, kind):
+    A = conjugate(name) if kind == "conj" else STANDARD_ALGEBRAS[name]()
+    assert _verdict(check_algebra, A) is _verdict(reference_check_algebra, A) is None
+    for step in (Fraction(1), Fraction(1, 2)):
+        verdicts = [(_verdict(check_algebra, C), _verdict(reference_check_algebra, C)) for C in _bumped(A, step)]
+        assert all(new == old for new, old in verdicts)
+        assert sum(1 for new, _ in verdicts if new) >= A.dim  # every unit bump breaks the unit
 
 
 def test_mult_matrix_agrees_with_mul_vec(algebra):

@@ -207,3 +207,59 @@ def test_bad_order_or_grade_exits_2(argv, capsys):
 def test_negative_order_or_grade_rejected_everywhere(command, flag, capsys):
     err = _rejected([command, *ORDER_GRADE_COMMANDS[command], "--order", "1", flag, "-1"], capsys)
     assert flag in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--algebra", str(DATA / "dualnum.json"), "--order", "1"],
+        ["dims", "--algebra", "dualnum", "--order", "1"],
+        ["verify", "--algebra", str(DATA / "dualnum.json")],
+    ],
+)
+def test_algebra_is_checked_once_per_load(argv, monkeypatch, capsys):
+    from planarprop import algebras, cli
+
+    checked = []
+    check = algebras.check_algebra
+
+    def counted(A):
+        checked.append(A)
+        check(A)
+
+    monkeypatch.setattr(algebras, "check_algebra", counted)
+    monkeypatch.setattr(cli, "check_algebra", counted)
+    assert cli.main(argv) == 0
+    assert len(checked) == 1
+
+
+def test_verify_reports_a_non_associative_spec(tmp_path, capsys):
+    from planarprop.cli import main
+
+    spec = json.loads((DATA / "dualnum.json").read_text())
+    spec["mult"][1][0][0] = "1"  # x * 1 = 1 + x
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["verify", "--algebra", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_pass"] is False
+    assert report["results"] == [
+        {
+            "invariant": "algebra_associative_unital",
+            "pass": False,
+            "counterexample": "associativity fails at basis triple (1,0,0)",
+        }
+    ]
+    # every other subcommand rejects the spec as input
+    assert main(["dims", "--algebra", str(path), "--order", "1"]) == 2
+    assert "associativity fails" in capsys.readouterr().err
+
+
+def test_aut_build_reports_its_counterexample(monkeypatch, capsys):
+    from planarprop import cli
+
+    monkeypatch.setattr(cli, "validate_aut", lambda phi: (False, ((0, 1), 2, 3)))
+    assert cli.main(["aut-build", "--algebra", "k2", "--order", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is False
+    assert report["counterexample"] == {"word": [0, 1], "i": 2, "j": 3}

@@ -72,7 +72,7 @@ def test_sparse_echelon_matches_dense_rank():
             se.add_row({j: v for j, v in enumerate(row) if v})
         assert se.rank == Matrix(rows).rank()
         for v in se.nullspace():
-            assert all(x == 0 for x in Matrix(rows).apply(v))
+            assert all(x == 0 for x in Matrix(rows).apply(_dense(v, m)))
 
 
 def test_span_helpers():
@@ -92,6 +92,13 @@ def test_hstack_vstack_shapes():
 
 def _sparse_rows(rows):
     return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def _dense(vec, ncols):
+    out = [Fraction(0)] * ncols
+    for j, v in vec.items():
+        out[j] = v
+    return out
 
 
 @st.composite
@@ -114,7 +121,30 @@ def test_sparse_echelon_nullspace_equals_dense(case):
         se.add_row(row)
     dense = Matrix(rows)
     assert se.rank == dense.rank()
-    assert se.nullspace() == dense.nullspace()
+    kernel = se.nullspace()
+    assert [_dense(v, ncols) for v in kernel] == dense.nullspace()
+    assert all(list(v) == sorted(v) and all(v.values()) for v in kernel)
+
+
+@given(st_rows_with_repeats())
+def test_integer_rows_are_neither_kept_nor_changed(case):
+    """All-int rows skip the denominator pass: explicit zeros are dropped,
+    and the caller's dict is neither stored nor reduced in place."""
+    ncols, rows = case
+    int_rows = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        int_rows.append({j: int(v * den) for j, v in enumerate(row)})
+    copies = [dict(row) for row in int_rows]
+    se = SparseEchelon(ncols)
+    for row in int_rows:
+        se.add_row(row)
+    assert int_rows == copies
+    assert not any(piv is row for piv in se.pivot_rows.values() for row in int_rows)
+    rational = SparseEchelon(ncols)
+    for row in _sparse_rows(rows):
+        rational.add_row(row)
+    assert se.rref() == rational.rref()
 
 
 @given(st_rows_with_repeats())
