@@ -10,7 +10,6 @@ with their compositions, and truncated automorphism families.
 __version__ = "0.1.0"
 
 from .algebras import (
-    AlgebraMorphism,
     FinAlgebra,
     GradedTarget,
     check_algebra,
@@ -35,7 +34,6 @@ from .linalg import Matrix
 from .operators import (
     DiffOperator,
     OperatorSum,
-    bullet_h,
     bullet_v,
     check_leibniz,
     check_mP,

@@ -196,45 +196,16 @@ def m2() -> FinAlgebra:
 STANDARD_ALGEBRAS = {"dualnum": dual_numbers, "k2": kxk, "m2": m2}
 
 
-@dataclass(frozen=True)
-class AlgebraMorphism:
-    """Unital algebra map source -> target given by its matrix on basis
-    vectors (here always between copies of the same finite algebra; the
-    grade-0 embedding into the graded target is the main instance)."""
-
-    source: FinAlgebra
-    target: FinAlgebra
-    matrix: Matrix
-
-    @classmethod
-    def identity(cls, A: FinAlgebra) -> "AlgebraMorphism":
-        return cls(A, A, Matrix.identity(A.dim))
-
-    def check(self) -> None:
-        A, B = self.source, self.target
-        if self.matrix.apply(list(A.unit)) != list(B.unit):
-            raise AlgebraError("morphism does not preserve the unit")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                lhs = self.matrix.apply(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
-                rhs = B.mul_vec(
-                    self.matrix.apply(A.basis_vec(i)), self.matrix.apply(A.basis_vec(j))
-                )
-                if lhs != rhs:
-                    raise AlgebraError(f"morphism not multiplicative at ({i},{j})")
-
-
 # -- graded target -----------------------------------------------------
 
 
 class GradedTarget:
     """The tensor algebra target over a base algebra: grade g component is
-    A^{tensor (g+1)}; the product of grades (g, h) concatenates and
-    multiplies the two factors meeting at the junction."""
+    A^{tensor (g+1)}, so grade 0 is A itself; the product of grades (g, h)
+    concatenates and multiplies the two factors meeting at the junction."""
 
-    def __init__(self, A: FinAlgebra, f: AlgebraMorphism | None = None):
+    def __init__(self, A: FinAlgebra):
         self.A = A
-        self.f = f if f is not None else AlgebraMorphism.identity(A)
         self._mB_cache: dict[tuple[int, int], Matrix] = {}
 
     def comp_dim(self, g: int) -> int:
@@ -261,26 +232,22 @@ class GradedTarget:
         xy = [xi * yj for xi in x for yj in y]
         return self.mB_matrix(gx, gy).apply(xy)
 
-    def f_vec(self, x) -> list[Fraction]:
-        """The grade-0 image of an element of A."""
-        return self.f.matrix.apply(list(x))
-
     def left_insert(self, x, g: int) -> Matrix:
-        """Left multiplication by f(x): B_g -> B_g (acts on the first
-        tensor factor)."""
-        lm = self.A.left_mult(self.f_vec(x))
+        """Left multiplication by x: B_g -> B_g (acts on the first tensor
+        factor)."""
+        lm = self.A.left_mult(x)
         return lm.kron(Matrix.identity(self.A.dim**g))
 
     def right_insert(self, x, g: int) -> Matrix:
-        """Right multiplication by f(x): B_g -> B_g (last factor)."""
-        rm = self.A.right_mult(self.f_vec(x))
+        """Right multiplication by x: B_g -> B_g (last factor)."""
+        rm = self.A.right_mult(x)
         return Matrix.identity(self.A.dim**g).kron(rm)
 
 
 def ad_m(g_map: Matrix, grade: int, B: GradedTarget) -> Matrix:
     """For g: A -> B_grade, the two-input defect
-    ad_m(g)(x, y) = g(xy) - f(x) g(y) - g(x) f(y), as a matrix
-    A x A -> B_grade.  Zero exactly when g is an f-relative derivation."""
+    ad_m(g)(x, y) = g(xy) - x g(y) - g(x) y, as a matrix
+    A x A -> B_grade.  Zero exactly when g is a derivation."""
     a = B.A.dim
     out = Matrix.zeros(B.comp_dim(grade), a * a)
     for i in range(a):
@@ -298,12 +265,12 @@ def ad_m(g_map: Matrix, grade: int, B: GradedTarget) -> Matrix:
 
 
 def hochschild_d(c: Matrix, p: int, grade: int, B: GradedTarget) -> Matrix:
-    """Differential of a cochain c: A^{tensor p} -> B_grade, with bimodule
-    structure through f:
+    """Differential of a cochain c: A^{tensor p} -> B_grade, with A acting
+    on the first and last tensor factors of B_grade:
 
-        (dc)(a_1..a_{p+1}) = f(a_1) c(a_2..a_{p+1})
+        (dc)(a_1..a_{p+1}) = a_1 c(a_2..a_{p+1})
             + sum_{i=1}^{p} (-1)^i c(.., a_i a_{i+1}, ..)
-            + (-1)^{p+1} c(a_1..a_p) f(a_{p+1}).
+            + (-1)^{p+1} c(a_1..a_p) a_{p+1}.
     """
     a = B.A.dim
     rows = B.comp_dim(grade)

@@ -21,6 +21,7 @@ from .graphs import GraphError, NotPlanar, PlanarGraph
 from .linalg import Matrix
 from .operators import (
     DiffOperator,
+    OperatorError,
     check_leibniz,
     check_mP,
     compose_D,
@@ -157,12 +158,15 @@ def cmd_compose(args) -> int:
             Q = DiffOperator.from_json(B, json.load(fh))
     except (OSError, KeyError, ValueError) as e:
         raise CliError(f"cannot load operator: {e}")
-    if args.mode == "h":
-        out = h_compose(P, Q)
-    elif args.mode == "v":
-        out = v_compose(P, Q)
-    else:
-        out = compose_D(P, Q)
+    try:
+        if args.mode == "h":
+            out = h_compose(P, Q)
+        elif args.mode == "v":
+            out = v_compose(P, Q)
+        else:
+            out = compose_D(P, Q)
+    except OperatorError as e:
+        raise CliError(f"cannot compose: {e}")
     report = _header(args, digest)
     report["mode"] = args.mode
     report["result"] = out.to_json()

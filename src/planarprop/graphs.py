@@ -126,22 +126,8 @@ class PlanarGraph:
     def genus(self) -> int:
         """dim H1 - dim H0 + 1 + sum of vertex marks; for a graph with V
         vertices, E internal edges and C undirected components this is
-        E - V + 1 + sum(marks)."""
-        n = len(self.vertices)
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (v1, _, _), (v2, _, _) in self.edges:
-            r1, r2 = find(v1), find(v2)
-            if r1 != r2:
-                parent[r1] = r2
-        # isolated-vertex components count too; an empty graph has H0 = 0
-        return len(self.edges) - n + 1 + sum(v.genus for v in self.vertices)
+        E - V + 1 + sum(marks): the components cancel."""
+        return len(self.edges) - len(self.vertices) + 1 + sum(v.genus for v in self.vertices)
 
     # -- level embedding -------------------------------------------------
 
@@ -170,7 +156,6 @@ class PlanarGraph:
     def _initial_frontier(self) -> list[HalfEdge]:
         # frontier wires are identified by the out half-edge (or graph
         # input half-edge) still waiting above
-        src_of = self._edge_map()
         return [h for h in self.graph_outputs]
 
     def _extract(self, frontier: list[HalfEdge], v: int) -> list[HalfEdge] | None:
@@ -192,7 +177,6 @@ class PlanarGraph:
         return frontier[:lo] + new_wires + frontier[lo + cor.n_out :]
 
     def _embed_greedy(self):
-        src_of = self._edge_map()
         frontier = self._initial_frontier()
         remaining = set(range(len(self.vertices)))
         order: list[int] = []

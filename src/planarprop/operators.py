@@ -6,14 +6,15 @@ refinements of the shape.  A refinement's component takes one algebra
 element per slot and lands in a tensor of graded pieces of B, recorded by
 a grade vector.  Storage convention: only the positive parts of an index
 are stored (its "positive core"); slots of order zero always act by
-inserting f of the input as an extra tensor factor, and are reconstructed
-on demand by `extend_degenerate`.  Operators are grade-homogeneous.
+inserting the input itself as an extra tensor factor, and are
+reconstructed on demand by `extend_degenerate`.  Operators are
+grade-homogeneous.
 
 The defining linear system ("Leibniz system"): for every stored
 refinement kappa, every slot i and every grade vector, feeding a product
 ab into slot i equals the sum over all two-part splits of that slot,
-where the split (0, kappa_i) inserts f(a) on the left of the slot's
-output, (kappa_i, 0) inserts f(b) on the right, and a positive split
+where the split (0, kappa_i) multiplies the slot's output by a on the
+left, (kappa_i, 0) by b on the right, and a positive split
 (x, y) applies the junction product of B to the correspondingly refined
 component.  Slots of size one are constrained too (both splits
 degenerate), making order-one operators exactly the derivations.
@@ -98,10 +99,6 @@ class DiffOperator:
     def out_label(self) -> int:
         """Number of output tensor factors after applying the type tag."""
         return len(self.pi) + self.grade
-
-    @property
-    def in_label(self) -> int:
-        return len(self.shape)
 
     def genus(self) -> int:
         return self.order - self.out_label + 1
@@ -224,12 +221,25 @@ class DiffOperator:
 
     @classmethod
     def from_json(cls, B: GradedTarget, obj: dict) -> "DiffOperator":
+        """Raises OperatorError when a block's grade vector does not fit its
+        refinement or the grade, or its size does not fit the algebra."""
+        a = B.A.dim
+        grade = obj["grade"]
         comps: dict = {}
         for c in obj["components"]:
             kappa = tuple(c["refinement"])
             g = tuple(c["grades"])
-            comps.setdefault(kappa, {})[g] = Matrix([[Fraction(x) for x in row] for row in c["matrix"]])
-        return cls(B, tuple(obj["shape"]), obj["grade"], comps, tuple(obj["type"]))
+            M = Matrix([[Fraction(x) for x in row] for row in c["matrix"]])
+            if len(g) != len(kappa) or sum(g) != grade:
+                raise OperatorError(f"block {list(kappa)} has grades {list(g)}, which do not fit grade {grade}")
+            size = (a ** (grade + len(kappa)), a ** len(kappa))
+            if (M.nrows, M.ncols) != size:
+                raise OperatorError(
+                    f"block {list(kappa)} is {M.nrows}x{M.ncols}, expected {size[0]}x{size[1]}"
+                    f" over an algebra of dimension {a}"
+                )
+            comps.setdefault(kappa, {})[g] = M
+        return cls(B, tuple(obj["shape"]), grade, comps, tuple(obj["type"]))
 
 
 # -- constructors ------------------------------------------------------
@@ -241,7 +251,7 @@ def one_operator(B: GradedTarget) -> DiffOperator:
 
 
 def unit_operator(B: GradedTarget, q: int = 1) -> DiffOperator:
-    """u^q: q slots of order zero, each acting by f."""
+    """u^q: q slots of order zero, each passing its input through."""
     return DiffOperator(B, (0,) * q, 0, {(): {(): Matrix([[1]])}}, (1,) * q)
 
 
@@ -256,70 +266,45 @@ def mult_operator(B: GradedTarget) -> DiffOperator:
 
 def extend_degenerate(P: DiffOperator, lam_prime: tuple[int, ...]) -> dict[tuple[int, ...], Matrix]:
     """Component blocks at a zero-extended index: the stored block whose
-    positive parts match, with f of the input inserted as a grade-zero
-    tensor factor at each zero slot.  Keys are the extended grade vectors;
+    positive parts match, with the input of each zero slot inserted as a
+    grade-zero tensor factor.  Keys are the extended grade vectors;
     empty dict if the positive core is absent."""
     lam_prime = tuple(lam_prime)
     kappa = _positive(lam_prime)
     stored = P.components.get(kappa)
     if stored is None:
         return {}
-    if not any(x == 0 for x in lam_prime):
+    if 0 not in lam_prime:
         return dict(stored)
     a = P.B.A.dim
-    fm = P.B.f.matrix
-    f_cols = [fm.col(t) for t in range(a)]
-    d_ext = len(lam_prime)
     out: dict[tuple[int, ...], Matrix] = {}
-    pos_slots = [j for j, x in enumerate(lam_prime) if x > 0]
-    zero_slots = [j for j, x in enumerate(lam_prime) if x == 0]
     for g, M in stored.items():
-        g_ext = []
         it = iter(g)
-        for x in lam_prime:
-            g_ext.append(next(it) if x > 0 else 0)
-        g_ext = tuple(g_ext)
-        slot_sizes = [a ** (gj + 1) for gj in g_ext]
-        nrows = 1
-        for s in slot_sizes:
-            nrows *= s
-        core_sizes = [slot_sizes[j] for j in pos_slots]
-        ext = Matrix.zeros(nrows, a**d_ext)
-        for col in range(a**d_ext):
-            digits = []
-            c = col
-            for _ in range(d_ext):
-                digits.append(c % a)
-                c //= a
-            digits.reverse()
-            core_col = 0
-            for j in pos_slots:
-                core_col = core_col * a + digits[j]
-            vec = M.col(core_col)
-            for core_row, val in enumerate(vec):
-                if not val:
-                    continue
-                # decompose the core row into per-positive-slot chunks
-                chunks = []
-                cr = core_row
-                for s in reversed(core_sizes):
-                    chunks.append(cr % s)
-                    cr //= s
-                chunks.reverse()
-                # interleave with the f-column entries at zero slots
-                zvecs = [f_cols[digits[j]] for j in zero_slots]
-                for zdigits in itertools.product(range(a), repeat=len(zero_slots)):
-                    coeff = val
-                    for zd, zv in zip(zdigits, zvecs):
-                        coeff *= zv[zd]
-                    if not coeff:
-                        continue
-                    row = 0
-                    ci = iter(chunks)
-                    zi = iter(zdigits)
-                    for j, x in enumerate(lam_prime):
-                        row = row * slot_sizes[j] + (next(ci) if x > 0 else next(zi))
-                    ext.rows[row][col] += coeff
+        g_ext = tuple(next(it) if x > 0 else 0 for x in lam_prime)
+        # the weight of each slot's output coordinate in a row index
+        weights = [1] * len(g_ext)
+        for j in range(len(g_ext) - 1, 0, -1):
+            weights[j - 1] = weights[j] * a ** (g_ext[j] + 1)
+        # a stored row's index, its slot coordinates placed at the positive
+        # slots; and per column, the stored column and the row offset of
+        # the zero slots, whose output coordinate is their input digit
+        rowmap = [0]
+        cols = [(0, 0)]
+        for j, x in enumerate(lam_prime):
+            if x > 0:
+                rowmap = [r + t * weights[j] for r in rowmap for t in range(a ** (g_ext[j] + 1))]
+                cols = [(cc * a + t, z) for cc, z in cols for t in range(a)]
+            else:
+                cols = [(cc, z + t * weights[j]) for cc, z in cols for t in range(a)]
+        entries = [[] for _ in range(M.ncols)]
+        for r, row in enumerate(M.rows):
+            for cc, v in enumerate(row):
+                if v:
+                    entries[cc].append((rowmap[r], v))
+        ext = Matrix.zeros(weights[0] * a ** (g_ext[0] + 1), len(cols))
+        for col, (cc, z) in enumerate(cols):
+            for r, v in entries[cc]:
+                ext.rows[r + z][col] = v
         out[g_ext] = ext
     return out
 
@@ -343,13 +328,13 @@ def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
     """Yield the Leibniz system of a shape core at a fixed total grade as
     sparse rows (unknown index -> coefficient) over the unknowns of
     `vector_layout`; the coefficients are integers when the structure
-    constants and f are.  For block (kappa, g), slot i, inputs `rest` in
+    constants are.  For block (kappa, g), slot i, inputs `rest` in
     the other slots and a basis pair (r, s) fed into slot i, the row at
     output coordinate `row` reads
 
         sum_k c[r][s][k] P[kappa][g](.., k, ..)
-      - (f(e_r) on the slot's first factor) P[kappa][g](.., s, ..)
-      - (f(e_s) on the slot's last factor) P[kappa][g](.., r, ..)
+      - (e_r on the slot's first factor) P[kappa][g](.., s, ..)
+      - (e_s on the slot's last factor) P[kappa][g](.., r, ..)
       - sum over splits (x, y) of kappa_i and (h1, h2) of g_i of the
         junction product of P[kappa'][g'](.., r, s, ..) = 0,
 
@@ -368,22 +353,12 @@ def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
     A = B.A
     a = A.dim
     c = [[[_exact(x) for x in row] for row in plane] for plane in A.mult]
-    fm = B.f.matrix.rows
     blocks = vector_layout(B, core, grade)["blocks"]
-    # products of basis pairs, and for each factor coordinate the terms of
-    # f(e_r) acting on it from the left and f(e_s) from the right
+    # products of basis pairs, and for each factor coordinate x the terms
+    # (j, coeff) of e_r e_j and of e_j e_r at x
     prod = [[[(k, c[r][s][k]) for k in range(a) if c[r][s][k]] for s in range(a)] for r in range(a)]
-    left = [[[] for _ in range(a)] for _ in range(a)]
-    right = [[[] for _ in range(a)] for _ in range(a)]
-    for r in range(a):
-        for x in range(a):
-            for j in range(a):
-                lv = _exact(sum((fm[t][r] * A.mult[t][j][x] for t in range(a)), Q0))
-                if lv:
-                    left[r][x].append((j, lv))
-                rv = _exact(sum((fm[t][r] * A.mult[j][t][x] for t in range(a)), Q0))
-                if rv:
-                    right[r][x].append((j, rv))
+    left = [[[(j, c[r][j][x]) for j in range(a) if c[r][j][x]] for x in range(a)] for r in range(a)]
+    right = [[[(j, c[j][r][x]) for j in range(a) if c[j][r][x]] for x in range(a)] for r in range(a)]
     junction = [[(u, v, c[u][v][k]) for u in range(a) for v in range(a) if c[u][v][k]] for k in range(a)]
 
     for kappa, i, g in _iter_constraints(core, grade):
@@ -523,7 +498,7 @@ def check_mP(P: DiffOperator, d: int) -> bool:
     elif n > 0:
         lhs = top @ prod
     else:
-        lhs = (B.f.matrix @ prod).scale(top.rows[0][0])
+        lhs = prod.scale(top.rows[0][0])
     rhs = Matrix.zeros(lhs.nrows, lhs.ncols)
     for lam in enumerate_partitions(n, d):
         for g_ext, M in extend_degenerate(P, lam.parts).items():
@@ -584,9 +559,6 @@ def h_compose(P: DiffOperator, Q: DiffOperator) -> DiffOperator:
                     m = m1.kron(m2)
                     dst[key] = dst[key] + m if key in dst else m
     return DiffOperator(P.B, P.shape + Q.shape, P.grade + Q.grade, comps, P.pi + Q.pi)
-
-
-bullet_h = h_compose
 
 
 def _epis_with_fiber_sums(values: tuple[int, ...], target: tuple[int, ...]):
@@ -709,8 +681,8 @@ def _factor_maps(rho: MonotoneMap, g_ext, mu, p_c):
 
 
 def _accumulate_v(comps, B, Q, P, Pmat, lam_p, g_ext, lam_q, beta, tau):
-    # drop slots where the composite index is zero: those slots are a pure
-    # f passthrough at both levels and are re-inserted on extension
+    # drop slots where the composite index is zero: those slots pass their
+    # input through at both levels and are re-inserted on extension
     zset = {t for t, x in enumerate(tau) if x == 0}
     if zset:
         keep_slots = [t for t in range(len(tau)) if t not in zset]

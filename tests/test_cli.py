@@ -1,5 +1,6 @@
 """Command line driver: exit codes, determinism, report shape."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -263,3 +264,90 @@ def test_aut_build_reports_its_counterexample(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["valid"] is False
     assert report["counterexample"] == {"word": [0, 1], "i": 2, "j": 3}
+
+
+def _basis_operator(path, argv, k):
+    """Write basis operator k of the solve report for argv to path."""
+    from planarprop.cli import main
+
+    assert main(["solve", *argv, "--out", str(path)]) == 0
+    path.write_text(json.dumps(json.loads(path.read_text())["basis"][k]))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def operator_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("operators")
+    return {
+        "P": _basis_operator(d / "P.json", ["--algebra", "dualnum", "--order", "1"], 0),
+        "G": _basis_operator(d / "G.json", ["--algebra", "dualnum", "--shape", "1,0", "--grade", "1"], 0),
+        "dualnum 2.0": _basis_operator(d / "d0.json", ["--algebra", "dualnum", "--order", "2"], 0),
+        "dualnum 2.1": _basis_operator(d / "d1.json", ["--algebra", "dualnum", "--order", "2"], 1),
+        "m2 1.0": _basis_operator(d / "m0.json", ["--algebra", "m2", "--order", "1"], 0),
+        "m2 1.2": _basis_operator(d / "m2.json", ["--algebra", "m2", "--order", "1"], 2),
+    }
+
+
+@pytest.mark.parametrize(
+    "algebra, left, right, mode, message",
+    [
+        ("dualnum", "P", "G", "v", "vertical arity mismatch"),
+        ("dualnum", "G", "P", "d", "defined at grade zero"),
+        ("m2", "P", "P", "d", "expected 4x4"),
+    ],
+)
+def test_compose_of_operators_that_do_not_fit_exits_2(operator_files, algebra, left, right, mode, message, capsys):
+    argv = ["compose", "--algebra", algebra, operator_files[left], operator_files[right], "--mode", mode]
+    assert message in _rejected(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: c["grades"].append(0), "do not fit grade"),
+        (lambda c: c.update(grades=[1]), "do not fit grade"),
+        (lambda c: c["matrix"].pop(), "expected 2x2"),
+    ],
+)
+def test_compose_rejects_a_misshapen_block(operator_files, tmp_path, edit, message, capsys):
+    op = json.loads(pathlib.Path(operator_files["P"]).read_text())
+    edit(op["components"][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(op))
+    argv = ["compose", "--algebra", "dualnum", str(bad), operator_files["P"], "--mode", "h"]
+    assert message in _rejected(argv, capsys)
+
+
+# sha256 of the --out report of each command, recorded before the graded
+# target's grade-0 embedding became the identity; compose cases name the
+# basis operators of `operator_files` they take.
+GOLDEN = [
+    (["dims", "--algebra", "dualnum", "--order", "4"], "bfbf043480a4834e7a71ae12f1a791031ae8f4d41a4dd5174f735bfa5488100d"),
+    (["solve", "--algebra", "dualnum", "--order", "4"], "5d9111fcfc6fa062c04a811df803c948262fd697ca2886fb0cbbfca1bb680907"),
+    (["dims", "--algebra", "m2", "--order", "2"], "bbe1e0e5a0fb2cd8a606277626087304f85810746ed604c1f2120821ef21fe91"),
+    (["solve", "--algebra", "m2", "--order", "2"], "a4d0b125732e58963f6125dfd9b43a31919d4f635e61a0c87d9e4a2dac8c2b4e"),
+    (["dims", "--algebra", "k2", "--order", "3", "--grade", "1"], "1e5acf78f9196308f09343680b26eab16ed06d194067341d2f5b238c1ee66730"),
+    (["solve", "--algebra", "k2", "--order", "3", "--grade", "1"], "ae0bd77edeade07f74c9ebded639cf02afc9300129b6f3103d9252a9d2e65c6d"),
+    (["dims", "--algebra", "dualnum", "--shape", "0,2,0", "--grade", "1"], "7e3bfeff6a9434747c111545eca67b00a09320c563407e8616867153f54212d7"),
+    (["solve", "--algebra", "dualnum", "--shape", "0,2,0", "--grade", "1"], "58e10fe97e83238a9ca1be9d1baf0782295090b53a6fb9ce5fa9daeda6d94303"),
+    (["symbol", "--algebra", "m2", "--order", "2"], "ece467cd8416fee1eb633791932120cffa2651f73b3eb20ed5decf549436e894"),
+    (["verify", "--algebra", "dualnum", "--seed", "7"], "29d3e4e367d0bd52913a240a84fdb06080ad874f82c936ff3080933bbd222b0a"),
+    (["aut-build", "--algebra", "m2"], "4785057834799396bda7a0f0b6a65a175b3ad1cdf5825f9462072ef70ea20ffa"),
+    (["aut-probe", "--algebra", "m2", "--order", "2"], "72e3b9c6929f171596ec256994b3e3acfd5c247c220354bafaf792a567a0ea11"),
+    (["compose", "--algebra", "dualnum", "dualnum 2.0", "dualnum 2.1", "--mode", "h"], "8f26987d338196e548a1db540d1786b7c0813cdba9c948e362c3485373f6632e"),
+    (["compose", "--algebra", "dualnum", "dualnum 2.0", "dualnum 2.1", "--mode", "v"], "668cffd42b2fc0d46e3a277352596c0d77791ebb7f752e93cbdb667fa1adad17"),
+    (["compose", "--algebra", "dualnum", "dualnum 2.0", "dualnum 2.1", "--mode", "d"], "0d28150639592cdc4dda26e9c0af6aa4ae98d3f2406f3bf09617547f78d358f2"),
+    (["compose", "--algebra", "m2", "m2 1.0", "m2 1.2", "--mode", "h"], "899ac2000b54d14837413b659b6a4adbe36c7cee5571c79d00b207f9bd2bfe04"),
+    (["compose", "--algebra", "m2", "m2 1.0", "m2 1.2", "--mode", "v"], "39d1053a97f43eff7f03b2a58a943eb3a0965d6e318388bba48153ae43fba945"),
+    (["compose", "--algebra", "m2", "m2 1.0", "m2 1.2", "--mode", "d"], "66ce123f1c9ec9989fb50f567b875350befe9f19d793da2bf0d5e7b2659f26b8"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_reports_are_byte_identical_to_the_recorded_ones(operator_files, argv, expected, tmp_path):
+    from planarprop.cli import main
+
+    argv = [operator_files.get(x, x) for x in argv]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected

@@ -1,10 +1,12 @@
 """The collapse and multiplicativity checks against per-basis-element
-reference loops.
+reference loops, and the degenerate extension against a per-column one.
 
 `check_mP` and `validate_aut` compare whole matrices, one per index or
 word.  The references below evaluate the same identities one basis tuple
 (or basis pair) at a time; both sides must agree on every verdict, and on
-the first failing (word, i, j)."""
+the first failing (word, i, j).  `extend_degenerate` places each stored
+entry in one row per column; its reference sums over every output digit
+of the zero slots, weighted by an identity matrix."""
 
 import itertools
 import random
@@ -15,8 +17,8 @@ import pytest
 from planarprop.algebras import GradedTarget, dual_numbers, kxk, m2
 from planarprop.families import AutFamily, from_derivations, lift_derivation, validate_aut
 from planarprop.linalg import Matrix, Q0
-from planarprop.operators import DiffOperator, check_mP, extend_degenerate, solve_Dn
-from planarprop.partitions import enumerate_partitions
+from planarprop.operators import DiffOperator, check_mP, extend_degenerate, one_operator, solve_Dn
+from planarprop.partitions import OrderedPartition, compositions, enumerate_partitions, refinements_of
 
 TARGETS = {"dualnum": dual_numbers, "k2": kxk, "m2": m2}
 # highest order checked at grade 0 and at grade 1
@@ -90,6 +92,107 @@ def reference_validate_aut(phi: AutFamily) -> tuple[bool, tuple | None]:
                 if lhs != rhs:
                     return False, (w, i, j)
     return True, None
+
+
+def reference_extend_degenerate(P: DiffOperator, lam_prime) -> dict:
+    """The degenerate extension column by column, with the output digit of
+    each zero slot read through an a x a matrix (here the identity)."""
+    lam_prime = tuple(lam_prime)
+    kappa = tuple(x for x in lam_prime if x > 0)
+    stored = P.components.get(kappa)
+    if stored is None:
+        return {}
+    if not any(x == 0 for x in lam_prime):
+        return dict(stored)
+    a = P.B.A.dim
+    fm = Matrix.identity(a)
+    f_cols = [fm.col(t) for t in range(a)]
+    d_ext = len(lam_prime)
+    out = {}
+    pos_slots = [j for j, x in enumerate(lam_prime) if x > 0]
+    zero_slots = [j for j, x in enumerate(lam_prime) if x == 0]
+    for g, M in stored.items():
+        it = iter(g)
+        g_ext = tuple(next(it) if x > 0 else 0 for x in lam_prime)
+        slot_sizes = [a ** (gj + 1) for gj in g_ext]
+        nrows = 1
+        for size in slot_sizes:
+            nrows *= size
+        core_sizes = [slot_sizes[j] for j in pos_slots]
+        ext = Matrix.zeros(nrows, a**d_ext)
+        for col in range(a**d_ext):
+            digits = []
+            c = col
+            for _ in range(d_ext):
+                digits.append(c % a)
+                c //= a
+            digits.reverse()
+            core_col = 0
+            for j in pos_slots:
+                core_col = core_col * a + digits[j]
+            for core_row, val in enumerate(M.col(core_col)):
+                if not val:
+                    continue
+                chunks = []
+                cr = core_row
+                for size in reversed(core_sizes):
+                    chunks.append(cr % size)
+                    cr //= size
+                chunks.reverse()
+                zvecs = [f_cols[digits[j]] for j in zero_slots]
+                for zdigits in itertools.product(range(a), repeat=len(zero_slots)):
+                    coeff = val
+                    for zd, zv in zip(zdigits, zvecs):
+                        coeff *= zv[zd]
+                    if not coeff:
+                        continue
+                    row = 0
+                    ci, zi = iter(chunks), iter(zdigits)
+                    for j, x in enumerate(lam_prime):
+                        row = row * slot_sizes[j] + (next(ci) if x > 0 else next(zi))
+                    ext.rows[row][col] += coeff
+        out[g_ext] = ext
+    return out
+
+
+def zero_extensions(kappa, max_zeros: int = 2):
+    """kappa with up to max_zeros zero parts inserted anywhere."""
+    for z in range(max_zeros + 1):
+        for pos in itertools.combinations(range(len(kappa) + z), len(kappa)):
+            lam = [0] * (len(kappa) + z)
+            for j, x in zip(pos, kappa):
+                lam[j] = x
+            yield tuple(lam)
+
+
+# (order, grade) of the bases whose degenerate extensions are checked
+EXTENDED = {
+    "dualnum": [(1, 0), (2, 0), (1, 1), (2, 1)],
+    "k2": [(1, 0), (2, 0)],
+    "m2": [(1, 0), (2, 0), (1, 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENDED))
+def test_extend_degenerate_agrees_with_reference(bases, name):
+    B, _ = bases[name]
+    a = B.A.dim
+    rng = random.Random(f"extend {name}")
+    ops = [one_operator(B).scale(-2)]
+    for n, grade in EXTENDED[name]:
+        ops += bases[name][1][n, grade]
+        # a dense operator with random entries in every block of the layout
+        # covers k2, whose spaces are zero, and entries basis operators lack
+        ops.append(DiffOperator(B, (n,), grade, {
+            kappa: {g: Matrix([[rng.randint(-3, 3) for _ in range(a ** len(kappa))]
+                               for _ in range(a ** (grade + len(kappa)))])
+                    for g in compositions(grade, len(kappa))}
+            for kappa in (r.fine.parts for r in refinements_of(OrderedPartition((n,))))
+        }))
+    for P in ops:
+        for kappa in P.components:
+            for lam in zero_extensions(kappa):
+                assert extend_degenerate(P, lam) == reference_extend_degenerate(P, lam), (P.shape, lam)
 
 
 def bumped(P: DiffOperator, kappa, g, r: int, c: int) -> DiffOperator:
