@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .algebras import STANDARD_ALGEBRAS, AlgebraError, FinAlgebra, GradedTarget, check_algebra
-from .families import FamilyError, from_derivations, lift_derivation, surjectivity_probe, validate_aut
+from .families import FamilyError, derivation_lifts, from_derivations, surjectivity_probe, validate_aut
 from .graphs import GraphError, NotPlanar, PlanarGraph
 from .linalg import Matrix
 from .operators import (
@@ -234,14 +234,9 @@ def cmd_graph(args) -> int:
 def cmd_aut_build(args) -> int:
     A, digest = _load_algebra(args.algebra)
     B = GradedTarget(A)
-    ders = [P.block((1,), (0,)) for P in solve_Dn(B, 1, 0)]
-    dd = [P.block((1,), (1,)) for P in solve_Dn(B, 1, 1)]
-    lifts = []
-    for d in ders:
-        lifted = lift_derivation(B, d, dd) if dd else None
-        if lifted is None:
-            raise CliError("derivation lift infeasible for this algebra", code=1)
-        lifts.append(lifted)
+    lifts = derivation_lifts(B)[2]
+    if lifts is None:
+        raise CliError("derivation lift infeasible for this algebra", code=1)
     if args.order is not None and args.order > 3:
         raise CliError("truncation length above 3 not supported", code=3)
     N = args.order if args.order else 3

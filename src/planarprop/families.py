@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebras import FinAlgebra, GradedTarget
 from .linalg import Matrix, span_rank
-from .operators import DiffOperator, OperatorError, unit_operator
+from .operators import DiffOperator, OperatorError, solve_D, solve_Dn, symbol, unit_operator
 from .ordinals import MonotoneMap
 from .partitions import OrderedPartition, compositions
 
@@ -269,32 +269,31 @@ def lift_derivation(B: GradedTarget, der: Matrix, dd_basis: list[Matrix]) -> Mat
     return out
 
 
+def derivation_lifts(B: GradedTarget) -> tuple[list[Matrix], list[Matrix], list[Matrix] | None]:
+    """The derivations of the algebra and its double derivations (the
+    order-1 operators at grade 0 and 1, as matrices), and a lift of each
+    derivation to a double derivation; the lifts are None when one of
+    them is infeasible."""
+    ders = [P.block((1,), (0,)) for P in solve_Dn(B, 1, 0)]
+    dd = [P.block((1,), (1,)) for P in solve_Dn(B, 1, 1)]
+    lifts = [lift_derivation(B, d, dd) if dd else None for d in ders]
+    return ders, dd, None if any(m is None for m in lifts) else lifts
+
+
 def surjectivity_probe(A: FinAlgebra, n: int) -> dict:
     """Constructive check that operator symbols at order n (n at most 2)
     are hit by families built from lifted derivations."""
-    from .operators import solve_D, solve_Dn, symbol, op_vector, vector_layout
-
     if n not in (1, 2):
         raise FamilyError("the probe is implemented at order 1 and 2")
     B = GradedTarget(A)
-    ders = [P.block((1,), (0,)) for P in solve_Dn(B, 1, 0)]
-    dd_ops = solve_Dn(B, 1, 1)
-    dd_basis = [P.block((1,), (1,)) for P in dd_ops]
-    lifts = []
-    lift_ok = True
-    for d in ders:
-        lifted = lift_derivation(B, d, dd_basis) if dd_basis else None
-        if lifted is None:
-            lift_ok = False
-        else:
-            lifts.append(lifted)
+    ders, dd_basis, lifts = derivation_lifts(B)
     report = {
         "order": n,
         "dim_derivations": len(ders),
         "dim_double_derivations": len(dd_basis),
-        "lift_feasible": lift_ok,
+        "lift_feasible": lifts is not None,
     }
-    if not lift_ok:
+    if lifts is None:
         report["spanned"] = len(ders) == 0
         report["span_rank"] = 0
         report["symbol_dim"] = len(ders) if n == 1 else len(solve_D(B, (1,) * n, 0))

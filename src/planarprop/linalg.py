@@ -96,7 +96,10 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        m = Matrix.__new__(Matrix)
+        m.nrows, m.ncols = self.nrows, self.ncols
+        m.rows = [[a + b if b else a for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return m
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -150,16 +153,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        return Matrix([r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        return Matrix(self.rows + other.rows)
 
     # -- elimination --------------------------------------------------
 

@@ -221,16 +221,21 @@ class DiffOperator:
 
     @classmethod
     def from_json(cls, B: GradedTarget, obj: dict) -> "DiffOperator":
-        """Raises OperatorError when a block's grade vector does not fit its
+        """Raises OperatorError when a block's refinement does not refine
+        the positive core of the shape, its grade vector does not fit its
         refinement or the grade, or its size does not fit the algebra."""
         a = B.A.dim
+        shape = tuple(obj["shape"])
         grade = obj["grade"]
+        refinements = _core_refinements(_positive(shape))
         comps: dict = {}
         for c in obj["components"]:
             kappa = tuple(c["refinement"])
             g = tuple(c["grades"])
             M = Matrix([[Fraction(x) for x in row] for row in c["matrix"]])
-            if len(g) != len(kappa) or sum(g) != grade:
+            if kappa not in refinements:
+                raise OperatorError(f"block {list(kappa)} does not refine the shape {list(shape)}")
+            if len(g) != len(kappa) or sum(g) != grade or min(g, default=0) < 0:
                 raise OperatorError(f"block {list(kappa)} has grades {list(g)}, which do not fit grade {grade}")
             size = (a ** (grade + len(kappa)), a ** len(kappa))
             if (M.nrows, M.ncols) != size:
@@ -239,7 +244,7 @@ class DiffOperator:
                     f" over an algebra of dimension {a}"
                 )
             comps.setdefault(kappa, {})[g] = M
-        return cls(B, tuple(obj["shape"]), grade, comps, tuple(obj["type"]))
+        return cls(B, shape, grade, comps, tuple(obj["type"]))
 
 
 # -- constructors ------------------------------------------------------
@@ -469,8 +474,12 @@ def solve_Dn(B: GradedTarget, n: int, grade: int = 0) -> list[DiffOperator]:
 
 def check_leibniz(P: DiffOperator) -> bool:
     """The defining invariant: every row of the Leibniz system vanishes on
-    the operator's coordinates."""
-    vec = op_vector(P, vector_layout(P.B, P.shape, P.grade))
+    the operator's coordinates.  False when a block lies outside the
+    layout of the shape and grade."""
+    layout = vector_layout(P.B, P.shape, P.grade)
+    if any((kappa, g) not in layout["blocks"] for kappa, blocks in P.components.items() for g in blocks):
+        return False
+    vec = op_vector(P, layout)
     den = lcm(*(x.denominator for x in vec))
     vec = [x.numerator * (den // x.denominator) for x in vec]
     return not any(
@@ -516,32 +525,30 @@ def check_mP(P: DiffOperator, d: int) -> bool:
 
 
 def compose_D(Q: DiffOperator, P: DiffOperator) -> DiffOperator:
-    """Composition in the order algebra: grade-zero operators with a
-    single-slot shape; the composite index splits as a termwise sum over
-    the two factors, using degenerate extensions."""
+    """Composition in the order algebra D = (+) D_n: the vertical
+    composition `v_compose` of two grade-zero operators with at most one
+    slot each.  An operator of order zero (the slotless `one_operator` or
+    the single-wire unit) acts as the scalar it stores, zero when it
+    stores nothing; two of them compose to `one_operator` scaled by the
+    product."""
     if Q.grade or P.grade:
         raise OperatorError("order-algebra composition is defined at grade zero")
-    B = Q.B
-    m, n = Q.order, P.order
-    if m + n == 0:
-        return one_operator(B).scale(Q.block((), ()).rows[0][0] * P.block((), ()).rows[0][0])
-    comps: dict = {}
-    for d in range(1, m + n + 1):
-        for lam in enumerate_partitions(m + n, d, nondegenerate_only=True):
-            total = None
-            for lam_q in compositions(m, d):
-                lam_p = tuple(l - lq for l, lq in zip(lam.parts, lam_q))
-                if any(x < 0 for x in lam_p):
-                    continue
-                Qb = extend_degenerate(Q, lam_q).get((0,) * d)
-                Pb = extend_degenerate(P, lam_p).get((0,) * d)
-                if Qb is None or Pb is None:
-                    continue
-                term = Qb @ Pb
-                total = term if total is None else total + term
-            if total is not None and not total.is_zero():
-                comps[lam.parts] = {(0,) * d: total}
-    return DiffOperator(B, (m + n,), 0, comps)
+    for X in (Q, P):
+        if len(X.shape) > 1:
+            raise OperatorError(f"order-algebra composition takes single-slot operators, got shape {X.shape}")
+    if Q.order and P.order:
+        return v_compose(Q, P)
+    if Q.order:
+        return Q.scale(_scalar(P))
+    if P.order:
+        return P.scale(_scalar(Q))
+    return one_operator(Q.B).scale(_scalar(Q) * _scalar(P))
+
+
+def _scalar(P: DiffOperator) -> Fraction:
+    """The value of an operator of order zero."""
+    M = P.block((), ())
+    return Q0 if M is None else M.rows[0][0]
 
 
 def h_compose(P: DiffOperator, Q: DiffOperator) -> DiffOperator:
@@ -701,8 +708,6 @@ def _accumulate_v(comps, B, Q, P, Pmat, lam_p, g_ext, lam_q, beta, tau):
         for j, t in enumerate(beta):
             h[t] += gq_ext[j]
         prod = Qmat @ Pmat
-        if prod.is_zero():
-            continue
         key = _positive(tau)
         gkey = tuple(h[t] for t in range(len(tau)) if tau[t] > 0)
         dst = comps.setdefault(key, {})

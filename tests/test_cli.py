@@ -281,6 +281,7 @@ def operator_files(tmp_path_factory):
     return {
         "P": _basis_operator(d / "P.json", ["--algebra", "dualnum", "--order", "1"], 0),
         "G": _basis_operator(d / "G.json", ["--algebra", "dualnum", "--shape", "1,0", "--grade", "1"], 0),
+        "H": _basis_operator(d / "H.json", ["--algebra", "dualnum", "--shape", "1,1"], 0),
         "dualnum 2.0": _basis_operator(d / "d0.json", ["--algebra", "dualnum", "--order", "2"], 0),
         "dualnum 2.1": _basis_operator(d / "d1.json", ["--algebra", "dualnum", "--order", "2"], 1),
         "m2 1.0": _basis_operator(d / "m0.json", ["--algebra", "m2", "--order", "1"], 0),
@@ -293,6 +294,8 @@ def operator_files(tmp_path_factory):
     [
         ("dualnum", "P", "G", "v", "vertical arity mismatch"),
         ("dualnum", "G", "P", "d", "defined at grade zero"),
+        ("dualnum", "H", "P", "d", "single-slot"),
+        ("dualnum", "P", "H", "d", "single-slot"),
         ("m2", "P", "P", "d", "expected 4x4"),
     ],
 )
@@ -307,6 +310,7 @@ def test_compose_of_operators_that_do_not_fit_exits_2(operator_files, algebra, l
         (lambda c: c["grades"].append(0), "do not fit grade"),
         (lambda c: c.update(grades=[1]), "do not fit grade"),
         (lambda c: c["matrix"].pop(), "expected 2x2"),
+        (lambda c: c.update(refinement=[3]), "does not refine the shape"),
     ],
 )
 def test_compose_rejects_a_misshapen_block(operator_files, tmp_path, edit, message, capsys):
@@ -316,6 +320,19 @@ def test_compose_rejects_a_misshapen_block(operator_files, tmp_path, edit, messa
     bad.write_text(json.dumps(op))
     argv = ["compose", "--algebra", "dualnum", str(bad), operator_files["P"], "--mode", "h"]
     assert message in _rejected(argv, capsys)
+
+
+@pytest.mark.parametrize("left, right", [("Z", "Z"), ("Z", "P"), ("P", "Z")])
+def test_compose_d_with_a_zero_scalar_gives_zero(operator_files, tmp_path, left, right, capsys):
+    from planarprop.cli import main
+
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"shape": [], "type": [], "grade": 0, "components": []}))
+    files = {"Z": str(zero), "P": operator_files["P"]}
+    assert main(["compose", "--algebra", "dualnum", files[left], files[right], "--mode", "d"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["components"] == [] and report["leibniz"] is True
+    assert report["result"]["shape"] == ([] if left == right else [1])
 
 
 # sha256 of the --out report of each command, recorded before the graded

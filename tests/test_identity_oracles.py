@@ -1,23 +1,37 @@
 """The collapse and multiplicativity checks against per-basis-element
-reference loops, and the degenerate extension against a per-column one.
+reference loops, the degenerate extension against a per-column one, and
+the order-algebra composition against its own enumeration.
 
 `check_mP` and `validate_aut` compare whole matrices, one per index or
 word.  The references below evaluate the same identities one basis tuple
 (or basis pair) at a time; both sides must agree on every verdict, and on
 the first failing (word, i, j).  `extend_degenerate` places each stored
 entry in one row per column; its reference sums over every output digit
-of the zero slots, weighted by an identity matrix."""
+of the zero slots, weighted by an identity matrix.  `compose_D` is the
+vertical composition of single-slot operators; its reference sums, per
+composite index, the products of the factors' degenerate extensions."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from test_leibniz import conjugate
 
 from planarprop.algebras import GradedTarget, dual_numbers, kxk, m2
-from planarprop.families import AutFamily, from_derivations, lift_derivation, validate_aut
+from planarprop.families import AutFamily, derivation_lifts, from_derivations, validate_aut
 from planarprop.linalg import Matrix, Q0
-from planarprop.operators import DiffOperator, check_mP, extend_degenerate, one_operator, solve_Dn
+from planarprop.operators import (
+    DiffOperator,
+    OperatorError,
+    check_mP,
+    compose_D,
+    extend_degenerate,
+    h_compose,
+    one_operator,
+    solve_Dn,
+    unit_operator,
+)
 from planarprop.partitions import OrderedPartition, compositions, enumerate_partitions, refinements_of
 
 TARGETS = {"dualnum": dual_numbers, "k2": kxk, "m2": m2}
@@ -173,22 +187,27 @@ EXTENDED = {
 }
 
 
+def dense_operator(B: GradedTarget, rng, n: int, grade: int) -> DiffOperator:
+    """An operator of shape (n,) with random entries in every block of the
+    layout: it covers k2, whose spaces are zero, and entries basis
+    operators lack."""
+    a = B.A.dim
+    return DiffOperator(B, (n,), grade, {
+        kappa: {g: Matrix([[rng.randint(-3, 3) for _ in range(a ** len(kappa))]
+                           for _ in range(a ** (grade + len(kappa)))])
+                for g in compositions(grade, len(kappa))}
+        for kappa in (r.fine.parts for r in refinements_of(OrderedPartition((n,))))
+    })
+
+
 @pytest.mark.parametrize("name", sorted(EXTENDED))
 def test_extend_degenerate_agrees_with_reference(bases, name):
     B, _ = bases[name]
-    a = B.A.dim
     rng = random.Random(f"extend {name}")
     ops = [one_operator(B).scale(-2)]
     for n, grade in EXTENDED[name]:
         ops += bases[name][1][n, grade]
-        # a dense operator with random entries in every block of the layout
-        # covers k2, whose spaces are zero, and entries basis operators lack
-        ops.append(DiffOperator(B, (n,), grade, {
-            kappa: {g: Matrix([[rng.randint(-3, 3) for _ in range(a ** len(kappa))]
-                               for _ in range(a ** (grade + len(kappa)))])
-                    for g in compositions(grade, len(kappa))}
-            for kappa in (r.fine.parts for r in refinements_of(OrderedPartition((n,))))
-        }))
+        ops.append(dense_operator(B, rng, n, grade))
     for P in ops:
         for kappa in P.components:
             for lam in zero_extensions(kappa):
@@ -262,9 +281,7 @@ def families():
     dd = Matrix.zeros(4, 2)
     dd.rows[3][1] = Fraction(1)  # x -> x (x) x
     Bm = GradedTarget(m2())
-    ders = [P.block((1,), (0,)) for P in solve_Dn(Bm, 1, 0)]
-    dds = [P.block((1,), (1,)) for P in solve_Dn(Bm, 1, 1)]
-    lifts = [lift_derivation(Bm, der, dds) for der in ders]
+    lifts = derivation_lifts(Bm)[2]
     return {"dualnum N=3": from_derivations(Bdn, [dd], N=3), "m2 N=2": from_derivations(Bm, lifts, N=2)}
 
 
@@ -282,3 +299,100 @@ def test_validate_aut_agrees_with_reference(families, label):
         assert got == reference_validate_aut(psi)
         failures += not got[0]
     assert failures
+
+
+def reference_compose_D(Q: DiffOperator, P: DiffOperator) -> DiffOperator:
+    """Order-algebra composition of grade-zero single-slot operators, index
+    by index: the block at a non-degenerate index lam of size d is the sum,
+    over the splits lam = lam_q + lam_p into compositions of the two
+    orders, of the products of the factors' degenerate extensions."""
+    assert not (Q.grade or P.grade)
+    B = Q.B
+    m, n = Q.order, P.order
+    if m + n == 0:
+        return one_operator(B).scale(Q.block((), ()).rows[0][0] * P.block((), ()).rows[0][0])
+    comps: dict = {}
+    for d in range(1, m + n + 1):
+        for lam in enumerate_partitions(m + n, d, nondegenerate_only=True):
+            total = None
+            for lam_q in compositions(m, d):
+                lam_p = tuple(l - lq for l, lq in zip(lam.parts, lam_q))
+                if any(x < 0 for x in lam_p):
+                    continue
+                Qb = extend_degenerate(Q, lam_q).get((0,) * d)
+                Pb = extend_degenerate(P, lam_p).get((0,) * d)
+                if Qb is None or Pb is None:
+                    continue
+                term = Qb @ Pb
+                total = term if total is None else total + term
+            if total is not None and not total.is_zero():
+                comps[lam.parts] = {(0,) * d: total}
+    return DiffOperator(B, (m + n,), 0, comps)
+
+
+# highest order of the basis operators composed pairwise
+COMPOSE_TOP = {"dualnum": 3, "k2": 3, "m2": 1}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_TOP))
+def test_compose_D_agrees_with_reference_on_basis_pairs(bases, name):
+    B, by_order = bases[name]
+    top = COMPOSE_TOP[name]
+    rng = random.Random(f"compose {name}")
+    ops = [one_operator(B)] + [P for n in range(1, top + 1) for P in by_order[n, 0]]
+    ops += [dense_operator(B, rng, n, 0) for n in range(1, min(top, 2) + 1)]
+    for Q in ops:
+        for P in ops:
+            assert compose_D(Q, P) == reference_compose_D(Q, P), (Q.shape, P.shape)
+
+
+def _combination(rng, basis):
+    """A seeded integer combination of a basis, every coefficient nonzero."""
+    out = None
+    for P in basis:
+        term = P.scale(rng.choice((-2, -1, 1, 2)))
+        out = term if out is None else out.add(term)
+    return out
+
+
+@pytest.mark.parametrize("name", ["m2", "dualnum dense"])
+def test_compose_D_agrees_with_reference_on_combinations(bases, name):
+    if name == "m2":
+        B, by_order = bases["m2"]
+        basis = {n: by_order[n, 0] for n in (1, 2)}
+    else:
+        B = GradedTarget(conjugate("dualnum"))
+        basis = {n: solve_Dn(B, n, 0) for n in (1, 2)}
+    rng = random.Random(f"compose {name}")
+    for m, n in [(1, 2), (2, 1)]:
+        Q, P = _combination(rng, basis[m]), _combination(rng, basis[n])
+        got = compose_D(Q, P)
+        assert not got.is_zero() and got == reference_compose_D(Q, P), (m, n)
+
+
+def test_compose_D_treats_order_zero_as_a_scalar(bases):
+    B, by_order = bases["dualnum"]
+    one = one_operator(B)
+    scalars = [one.scale(0), one.scale(2), one.scale(Fraction(-1, 2)), unit_operator(B, 1)]
+    ops = [P for n in (1, 2) for P in by_order[n, 0]]
+    for c in scalars:
+        for P in ops:
+            assert compose_D(c, P) == reference_compose_D(c, P)
+            assert compose_D(P, c) == reference_compose_D(P, c)
+        for c2 in scalars:
+            got = compose_D(c, c2)
+            if c.is_zero() or c2.is_zero():
+                # the reference reads the stored scalar, which a zero lacks
+                assert got == one.scale(0)
+            else:
+                assert got == reference_compose_D(c, c2)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 0), (0, 0)])
+def test_compose_D_rejects_several_slots(bases, shape):
+    B, by_order = bases["dualnum"]
+    P = by_order[1, 0][0]
+    X = {(1, 1): h_compose(P, P), (1, 0): h_compose(P, unit_operator(B, 1)), (0, 0): unit_operator(B, 2)}[shape]
+    for args in ((X, P), (P, X)):
+        with pytest.raises(OperatorError, match="single-slot"):
+            compose_D(*args)

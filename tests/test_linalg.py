@@ -83,13 +83,6 @@ def test_span_helpers():
     assert not in_span([v1], v2)
 
 
-def test_hstack_vstack_shapes():
-    A = Matrix.identity(2)
-    B = Matrix.zeros(2, 3)
-    assert A.hstack(B).ncols == 5
-    assert A.vstack(Matrix.zeros(3, 2)).nrows == 5
-
-
 def _sparse_rows(rows):
     return [{j: v for j, v in enumerate(row) if v} for row in rows]
 

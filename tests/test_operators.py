@@ -121,6 +121,17 @@ class TestSolver:
         P.components[kappa][g] = tampered
         assert not check_leibniz(P)
 
+    def test_a_block_outside_the_layout_is_rejected(self, targets):
+        # a block at refinement (3,) does not refine the shape (1,)
+        B = targets["dualnum"]
+        P = solve_Dn(B, 1, 0)[0]
+        extra = {(3,): {(0,): Matrix.identity(2)}}
+        assert not check_leibniz(DiffOperator(B, P.shape, 0, {**P.components, **extra}))
+        obj = P.to_json()
+        obj["components"].append({"refinement": [3], "grades": [0], "matrix": [["1", "0"], ["0", "1"]]})
+        with pytest.raises(OperatorError, match="does not refine the shape"):
+            DiffOperator.from_json(B, obj)
+
     def test_graded_solver(self, targets):
         # grade-1 single-slot order-1 solutions are the double derivations
         B = targets["dualnum"]
