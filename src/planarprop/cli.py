@@ -26,10 +26,8 @@ from .operators import (
     check_mP,
     compose_D,
     h_compose,
-    is_totally_positive,
     solve_D,
     solve_Dn,
-    symbol,
     symbol_exactness,
     unit_operator,
     v_compose,

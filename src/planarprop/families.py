@@ -19,9 +19,9 @@ from fractions import Fraction
 
 from .algebras import FinAlgebra, GradedTarget
 from .linalg import Matrix, span_rank
-from .operators import DiffOperator, OperatorError, solve_D, solve_Dn, symbol, unit_operator
+from .operators import DiffOperator, solve_D, solve_Dn, symbol, unit_operator
 from .ordinals import MonotoneMap
-from .partitions import OrderedPartition, compositions
+from .partitions import compositions
 
 
 class FamilyError(ValueError):

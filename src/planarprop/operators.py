@@ -49,6 +49,11 @@ class OperatorError(ValueError):
     pass
 
 
+def _naturals(v) -> bool:
+    """A list of non-negative ints, as JSON reads them (no bools or floats)."""
+    return isinstance(v, list) and all(type(x) is int and x >= 0 for x in v)
+
+
 def _positive(t) -> tuple[int, ...]:
     return tuple(x for x in t if x > 0)
 
@@ -221,21 +226,34 @@ class DiffOperator:
 
     @classmethod
     def from_json(cls, B: GradedTarget, obj: dict) -> "DiffOperator":
-        """Raises OperatorError when a block's refinement does not refine
-        the positive core of the shape, its grade vector does not fit its
-        refinement or the grade, or its size does not fit the algebra."""
+        """Raises OperatorError when the shape is not a list of
+        non-negative integers, the grade not a non-negative integer, or
+        the type not a list of positive integers summing to the slot
+        count; and when a block's refinement or grades are not lists of
+        non-negative integers, its refinement does not refine the positive
+        core of the shape, its grade vector does not fit its refinement or
+        the grade, or its size does not fit the algebra."""
         a = B.A.dim
-        shape = tuple(obj["shape"])
-        grade = obj["grade"]
+        shape, grade, pi = obj["shape"], obj["grade"], obj["type"]
+        if not _naturals(shape):
+            raise OperatorError(f"shape {shape!r} is not a list of non-negative integers")
+        if not _naturals([grade]):
+            raise OperatorError(f"grade {grade!r} is not a non-negative integer")
+        if not (_naturals(pi) and all(pi) and sum(pi) == len(shape)):
+            raise OperatorError(f"type {pi!r} is not a list of positive integers summing to {len(shape)}")
+        shape = tuple(shape)
         refinements = _core_refinements(_positive(shape))
         comps: dict = {}
         for c in obj["components"]:
+            for field in ("refinement", "grades"):
+                if not _naturals(c[field]):
+                    raise OperatorError(f"block {field} {c[field]!r} is not a list of non-negative integers")
             kappa = tuple(c["refinement"])
             g = tuple(c["grades"])
             M = Matrix([[Fraction(x) for x in row] for row in c["matrix"]])
             if kappa not in refinements:
                 raise OperatorError(f"block {list(kappa)} does not refine the shape {list(shape)}")
-            if len(g) != len(kappa) or sum(g) != grade or min(g, default=0) < 0:
+            if len(g) != len(kappa) or sum(g) != grade:
                 raise OperatorError(f"block {list(kappa)} has grades {list(g)}, which do not fit grade {grade}")
             size = (a ** (grade + len(kappa)), a ** len(kappa))
             if (M.nrows, M.ncols) != size:
@@ -244,7 +262,7 @@ class DiffOperator:
                     f" over an algebra of dimension {a}"
                 )
             comps.setdefault(kappa, {})[g] = M
-        return cls(B, shape, grade, comps, tuple(obj["type"]))
+        return cls(B, shape, grade, comps, tuple(pi))
 
 
 # -- constructors ------------------------------------------------------
@@ -568,150 +586,97 @@ def h_compose(P: DiffOperator, Q: DiffOperator) -> DiffOperator:
     return DiffOperator(P.B, P.shape + Q.shape, P.grade + Q.grade, comps, P.pi + Q.pi)
 
 
-def _epis_with_fiber_sums(values: tuple[int, ...], target: tuple[int, ...]):
-    """All epis [len(values)] ->> [len(target)] whose fiberwise sums of
-    `values` equal `target`."""
-    out = []
-    for rho in all_epis(len(values), len(target)):
-        ok = True
-        for t in range(1, len(target) + 1):
-            if sum(values[j - 1] for j in rho.fiber(t)) != target[t - 1]:
-                ok = False
-                break
-        if ok:
-            out.append(rho)
-    return out
-
-
 def v_compose(Q: DiffOperator, P: DiffOperator) -> DiffOperator:
     """Untyped vertical composition: Q consumes the output tensor factors
-    of P.  Requires len(Q.shape) == len(P.shape) + P.grade and a
-    homogeneous output grade vector on P.  The composite's components are
-    assembled by enumerating zero-extended indices of P, the induced
-    factor maps, and the matching slotwise splits of Q's shape, composing
-    matrices and flattening grades."""
-    B = P.B
+    of P, so Q needs len(P.shape) + P.grade slots.  Slot t of P has
+    mu_t + 1 output factors (mu = `top_gradevec`), read by the next
+    mu_t + 1 slots of Q; slot t of the composite has order sigma_t, the
+    order lambda_t of P's slot plus those of its Q slots.
+
+    The composite is the sum of Qmat @ Pmat over the admissible terms.  A
+    term takes a stored refinement kappa of P and inserts zero slots among
+    its parts over each slot t: at least one when lambda_t = 0, at most
+    sigma_t - lambda_t, since each must receive Q order.  Pmat is a block
+    of P's extension at the resulting index lam_p.  Its fine output
+    factors merge at the junctions inside a slot of P, so each Q slot j
+    reads a run of them.  The term splits nu_j over its run, giving
+    Q's index lam_q and a block Qmat of Q's extension there, such that
+    every fine slot gets a positive total tau.  Qmat @ Pmat lands at
+    index tau, at the grade vector of Pmat plus, per fine slot, the
+    grades of Qmat on its factors.  A slot with sigma_t = 0 passes its
+    input through at both levels and is left out of every term.
+
+    Each admissible term comes once, with a unique epi rho assigning the
+    fine slots of lam_p to the slots of P.  Every inserted zero slot
+    carries a positive Q part on its one factor; reading a boundary zero
+    under another rho would move that part to the neighbouring Q slot,
+    whose split would no longer sum to nu_j.  The push of each block's
+    grade vector along rho is mu without a test: `top_gradevec` rejects
+    P unless every stored block pushes to mu, and zero slots add grade
+    zero."""
     q = len(P.shape)
-    p_c = P.grade + 1
     nu = Q.shape
-    if len(nu) != q + p_c - 1:
+    if len(nu) != q + P.grade:
         raise OperatorError(
-            f"vertical arity mismatch: {len(nu)} input slots vs {q + p_c - 1} output factors"
+            f"vertical arity mismatch: {len(nu)} input slots vs {q + P.grade} output factors"
         )
     mu = P.top_gradevec()
-    m_ord, n_ord = Q.order, P.order
-
-    # composite shape: regroup Q's slots under the coarse factor layout
-    beta0_sizes = [mu_t + 1 for mu_t in mu]
-    sigma_c = []
+    reads = []  # the orders of the Q slots reading each slot of P
     j = 0
-    for t in range(q):
-        sigma_c.append(P.shape[t] + sum(nu[j : j + beta0_sizes[t]]))
-        j += beta0_sizes[t]
-    sigma_c = tuple(sigma_c)
+    for m in mu:
+        reads.append(nu[j : j + m + 1])
+        j += m + 1
+    sigma = tuple(lam + sum(r) for lam, r in zip(P.shape, reads))
+    live = [t for t in range(q) if sigma[t]]
+    nu_live = [x for t in live for x in reads[t]]
+    slot_of_part = [t for t in range(q) if P.shape[t]]  # P's slot of each core part
     comps: dict = {}
-    seen: set = set()
-
-    # a zero slot of the extended index survives in the composite only if
-    # it picks up input from Q or sits over a zero of the composite shape
-    max_zeros = m_ord + sum(1 for x in sigma_c if x == 0)
-    for kappa in list(P.components):
-        d = len(kappa)
-        for z in range(max_zeros + 1):
-            qp = d + z
-            if qp < q:
-                continue
-            for pos_slots in itertools.combinations(range(qp), d):
-                lam_p = [0] * qp
-                for idx, j2 in enumerate(pos_slots):
-                    lam_p[j2] = kappa[idx]
-                lam_p = tuple(lam_p)
-                ext_P = extend_degenerate(P, lam_p)
-                if not ext_P:
-                    continue
-                for rho in _epis_with_fiber_sums(lam_p, P.shape):
-                    for g_ext, Pmat in ext_P.items():
-                        push = tuple(
-                            sum(g_ext[j2 - 1] for j2 in rho.fiber(t)) for t in range(1, q + 1)
-                        )
-                        if push != mu:
-                            continue
-                        alpha, beta = _factor_maps(rho, g_ext, mu, p_c)
-                        # fibers of alpha over Q's slots
-                        fiber_sizes = [0] * len(nu)
-                        for x in alpha:
-                            fiber_sizes[x] += 1
-                        split_choices = [
-                            list(compositions(nu[x], fiber_sizes[x])) for x in range(len(nu))
-                        ]
-                        for parts in itertools.product(*split_choices):
-                            lam_q = tuple(itertools.chain.from_iterable(parts))
-                            key = (lam_p, g_ext, lam_q)
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                            tau = list(lam_p)
-                            for j2, t in enumerate(beta):
-                                tau[t] += lam_q[j2]
-                            tau = tuple(tau)
-                            if refinement_witness(
-                                OrderedPartition(tau), OrderedPartition(sigma_c)
-                            ) is None:
-                                continue
-                            _accumulate_v(
-                                comps, B, Q, P, Pmat, lam_p, g_ext, lam_q, beta, tau
-                            )
-    return DiffOperator(B, sigma_c, P.grade + Q.grade, comps)
-
-
-def _factor_maps(rho: MonotoneMap, g_ext, mu, p_c):
-    """(alpha, beta): for the fine output factors of a zero-extended index
-    with grade vector g_ext, alpha assigns each to a coarse factor (two
-    fine factors merge at each junction inside a rho-fiber), beta assigns
-    each to its fine slot.  Both 0-based lists."""
-    alpha = []
-    beta = []
-    coarse = -1
-    qp = rho.dom
-    for s in range(1, rho.cod + 1):
-        first = True
-        for t in rho.fiber(s):
-            for k in range(g_ext[t - 1] + 1):
-                if k == 0 and not first:
-                    alpha.append(coarse)
-                else:
-                    coarse += 1
-                    alpha.append(coarse)
-                beta.append(t - 1)
-            first = False
-    return alpha, beta
-
-
-def _accumulate_v(comps, B, Q, P, Pmat, lam_p, g_ext, lam_q, beta, tau):
-    # drop slots where the composite index is zero: those slots pass their
-    # input through at both levels and are re-inserted on extension
-    zset = {t for t, x in enumerate(tau) if x == 0}
-    if zset:
-        keep_slots = [t for t in range(len(tau)) if t not in zset]
-        keep_factors = [j for j, t in enumerate(beta) if t not in zset]
-        lam_p = tuple(lam_p[t] for t in keep_slots)
-        g_r = tuple(g_ext[t] for t in keep_slots)
-        lam_q = tuple(lam_q[j] for j in keep_factors)
-        beta = [keep_slots.index(beta[j]) for j in keep_factors]
-        tau = tuple(tau[t] for t in keep_slots)
-        Pmat = extend_degenerate(P, lam_p).get(g_r)
-        if Pmat is None:
-            return
-        g_ext = g_r
-    for gq_ext, Qmat in extend_degenerate(Q, lam_q).items():
-        h = list(g_ext)
-        for j, t in enumerate(beta):
-            h[t] += gq_ext[j]
-        prod = Qmat @ Pmat
-        key = _positive(tau)
-        gkey = tuple(h[t] for t in range(len(tau)) if tau[t] > 0)
-        dst = comps.setdefault(key, {})
-        dst[gkey] = dst[gkey] + prod if gkey in dst else prod
+    for kappa in P.components:
+        rho = refinement_witness(OrderedPartition(kappa), OrderedPartition(P.core))
+        parts = [[] for _ in range(q)]
+        for x, c in zip(kappa, rho.values):
+            parts[slot_of_part[c - 1]].append(x)
+        fibers = []  # per live slot, its parts with each choice of zero slots inserted
+        for t in live:
+            d = len(parts[t])
+            fibers.append([])
+            for z in range(0 if P.shape[t] else 1, sigma[t] - P.shape[t] + 1):
+                for pos in itertools.combinations(range(d + z), d):
+                    lam = [0] * (d + z)
+                    for i, x in zip(pos, parts[t]):
+                        lam[i] = x
+                    fibers[-1].append(lam)
+        for choice in itertools.product(*fibers):
+            lam_p = tuple(itertools.chain.from_iterable(choice))
+            for g_ext, Pmat in extend_degenerate(P, lam_p).items():
+                # the fine slot of each fine factor, and the run length of
+                # each Q slot: past the first fine slot of a slot of P, a
+                # fine slot's first factor joins the run before it
+                slot_of, runs = [], []
+                s = 0
+                for fib in choice:
+                    for i in range(len(fib)):
+                        if i:
+                            runs[-1] += 1
+                        runs += [1] * (g_ext[s] + (not i))
+                        slot_of += [s] * (g_ext[s] + 1)
+                        s += 1
+                for split in itertools.product(*map(compositions, nu_live, runs)):
+                    lam_q = tuple(itertools.chain.from_iterable(split))
+                    tau = list(lam_p)
+                    for s, x in zip(slot_of, lam_q):
+                        tau[s] += x
+                    if 0 in tau:
+                        continue
+                    dst = comps.setdefault(tuple(tau), {})
+                    for gq, Qmat in extend_degenerate(Q, lam_q).items():
+                        h = list(g_ext)
+                        for s, y in zip(slot_of, gq):
+                            h[s] += y
+                        h = tuple(h)
+                        prod = Qmat @ Pmat
+                        dst[h] = dst[h] + prod if h in dst else prod
+    return DiffOperator(P.B, sigma, P.grade + Q.grade, comps)
 
 
 # -- typed vertical composition ---------------------------------------
@@ -780,14 +745,14 @@ def bullet_v(Q: DiffOperator, P: DiffOperator) -> OperatorSum:
             f"typed arity mismatch: {len(Q.shape)} input slots vs {s + p_c - 1} output factors"
         )
     mu = P.top_gradevec()
-    rho0 = _epi_with_fiber_sizes([m + 1 for m in mu])
+    rho0 = OrderedPartition(tuple(m + 1 for m in mu)).to_map()
     pi_part = OrderedPartition(P.pi)
     pi_tilde = lift_output_type(pi_part, rho0) if q else OrderedPartition(())
 
     # retag data
     pi_map = pi_part.to_map()
     h_groups = [sum(mu[t - 1] for t in pi_map.fiber(i)) for i in range(1, s + 1)]
-    mu_tilde = _epi_with_fiber_sizes([h + 1 for h in h_groups])
+    mu_tilde = OrderedPartition(tuple(h + 1 for h in h_groups)).to_map()
     sigma_map = OrderedPartition(Q.pi).to_map()
     _, push_mu, _ = merge(mu_tilde, sigma_map)
     tag_map = compose(push_mu, pi_map)
@@ -807,13 +772,6 @@ def bullet_v(Q: DiffOperator, P: DiffOperator) -> OperatorSum:
             raise OperatorError("type retag does not match the composite shape")
         out.add(comp)
     return out
-
-
-def _epi_with_fiber_sizes(sizes) -> MonotoneMap:
-    vals = []
-    for t, k in enumerate(sizes, start=1):
-        vals.extend([t] * k)
-    return MonotoneMap(len(vals), len(sizes), tuple(vals))
 
 
 # -- positivity, degeneracies, symbol ---------------------------------
@@ -837,38 +795,18 @@ def degeneracy(sigma: MonotoneMap, P: DiffOperator) -> DiffOperator:
     m = sigma.dom
     if sigma.cod != n:
         raise OperatorError(f"degeneracy epi must target [{n}]")
-    fibers = list(sigma.fiber_sizes())
+    fibers = OrderedPartition(sigma.fiber_sizes())
     comps: dict = {}
     for lam_prime in (r.fine.parts for r in refinements_of(OrderedPartition((m,)))):
-        lam = _degeneracy_parse(lam_prime, fibers)
-        if lam is None:
+        # lam with lam_prime = lam o sigma: each part of lam_prime a sum of
+        # consecutive sigma-fiber sizes
+        witness = refinement_witness(fibers, OrderedPartition(lam_prime))
+        if witness is None:
             continue
-        blocks = P.components.get(lam)
+        blocks = P.components.get(witness.fiber_sizes())
         if blocks:
             comps[lam_prime] = dict(blocks)
     return DiffOperator(P.B, (m,), P.grade, comps)
-
-
-def _degeneracy_parse(lam_prime, fibers):
-    """lam with lam_prime = lam o sigma, i.e. each part of lam_prime is a
-    sum of consecutive sigma-fiber sizes; None if no such grouping."""
-    lam = []
-    i = 0
-    for part in lam_prime:
-        acc = 0
-        cnt = 0
-        while acc < part:
-            if i >= len(fibers):
-                return None
-            acc += fibers[i]
-            i += 1
-            cnt += 1
-        if acc != part:
-            return None
-        lam.append(cnt)
-    if i != len(fibers):
-        return None
-    return tuple(lam)
 
 
 def symbol(P: DiffOperator) -> DiffOperator:

@@ -311,6 +311,8 @@ def test_compose_of_operators_that_do_not_fit_exits_2(operator_files, algebra, l
         (lambda c: c.update(grades=[1]), "do not fit grade"),
         (lambda c: c["matrix"].pop(), "expected 2x2"),
         (lambda c: c.update(refinement=[3]), "does not refine the shape"),
+        (lambda c: c.update(refinement=[1.0]), "refinement [1.0] is not a list of non-negative integers"),
+        (lambda c: c.update(grades=[-1]), "grades [-1] is not a list of non-negative integers"),
     ],
 )
 def test_compose_rejects_a_misshapen_block(operator_files, tmp_path, edit, message, capsys):
@@ -319,6 +321,26 @@ def test_compose_rejects_a_misshapen_block(operator_files, tmp_path, edit, messa
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(op))
     argv = ["compose", "--algebra", "dualnum", str(bad), operator_files["P"], "--mode", "h"]
+    assert message in _rejected(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "fields, mode, message",
+    [
+        ({"shape": [-1], "components": []}, "d", "shape [-1] is not a list of non-negative integers"),
+        ({"shape": [2, -1], "type": [1, 1], "components": []}, "h", "shape [2, -1] is not"),
+        ({"grade": -1}, "h", "grade -1 is not a non-negative integer"),
+        ({"grade": -1}, "v", "grade -1 is not a non-negative integer"),
+        ({"type": [2, -1]}, "h", "type [2, -1] is not a list of positive integers summing to 1"),
+        ({"shape": [1.5]}, "h", "shape [1.5] is not"),
+        ({"shape": "1"}, "h", "shape '1' is not"),
+    ],
+)
+def test_compose_rejects_a_malformed_operator(operator_files, tmp_path, fields, mode, message, capsys):
+    op = json.loads(pathlib.Path(operator_files["P"]).read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**op, **fields}))
+    argv = ["compose", "--algebra", "dualnum", str(bad), operator_files["P"], "--mode", mode]
     assert message in _rejected(argv, capsys)
 
 

@@ -1,0 +1,49 @@
+"""Dead-code guard over the package source, read with the standard
+library's `ast`: every module-level private function is referenced
+somewhere in the package, and every name a module other than `__init__`
+imports is used in that module."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "planarprop"
+TREES = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _read_names(tree) -> set[str]:
+    """The bare names and attribute names a tree reads."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_private_function_is_referenced():
+    read = set().union(*map(_read_names, TREES.values()))
+    unreferenced = [
+        f"{module}.{node.name}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in read
+    ]
+    assert not unreferenced, f"private functions nothing in src references: {unreferenced}"
+
+
+@pytest.mark.parametrize("module", sorted(m for m in TREES if m != "__init__"))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    read = _read_names(tree)
+    unused = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in read
+    ]
+    assert not unused, f"names imported into {module} and never used: {unused}"

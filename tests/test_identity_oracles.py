@@ -9,7 +9,10 @@ the first failing (word, i, j).  `extend_degenerate` places each stored
 entry in one row per column; its reference sums over every output digit
 of the zero slots, weighted by an identity matrix.  `compose_D` is the
 vertical composition of single-slot operators; its reference sums, per
-composite index, the products of the factors' degenerate extensions."""
+composite index, the products of the factors' degenerate extensions.
+`v_compose` sums over the admissible terms only; its reference searches
+every zero-extended index of P, every epi onto P's shape and every split
+of Q's orders, and keeps the terms that refine the composite shape."""
 
 import itertools
 import random
@@ -24,15 +27,25 @@ from planarprop.linalg import Matrix, Q0
 from planarprop.operators import (
     DiffOperator,
     OperatorError,
+    _positive,
     check_mP,
     compose_D,
     extend_degenerate,
     h_compose,
     one_operator,
+    solve_D,
     solve_Dn,
     unit_operator,
+    v_compose,
 )
-from planarprop.partitions import OrderedPartition, compositions, enumerate_partitions, refinements_of
+from planarprop.ordinals import MonotoneMap, all_epis
+from planarprop.partitions import (
+    OrderedPartition,
+    compositions,
+    enumerate_partitions,
+    refinement_witness,
+    refinements_of,
+)
 
 TARGETS = {"dualnum": dual_numbers, "k2": kxk, "m2": m2}
 # highest order checked at grade 0 and at grade 1
@@ -396,3 +409,211 @@ def test_compose_D_rejects_several_slots(bases, shape):
     for args in ((X, P), (P, X)):
         with pytest.raises(OperatorError, match="single-slot"):
             compose_D(*args)
+
+
+def _epis_with_fiber_sums(values: tuple[int, ...], target: tuple[int, ...]):
+    """All epis [len(values)] ->> [len(target)] whose fiberwise sums of
+    `values` equal `target`."""
+    out = []
+    for rho in all_epis(len(values), len(target)):
+        ok = True
+        for t in range(1, len(target) + 1):
+            if sum(values[j - 1] for j in rho.fiber(t)) != target[t - 1]:
+                ok = False
+                break
+        if ok:
+            out.append(rho)
+    return out
+
+
+def reference_v_compose(Q: DiffOperator, P: DiffOperator) -> DiffOperator:
+    """Untyped vertical composition by search: Q consumes the output tensor factors
+    of P.  Requires len(Q.shape) == len(P.shape) + P.grade and a
+    homogeneous output grade vector on P.  The composite's components are
+    assembled by enumerating zero-extended indices of P, the induced
+    factor maps, and the matching slotwise splits of Q's shape, composing
+    matrices and flattening grades."""
+    B = P.B
+    q = len(P.shape)
+    p_c = P.grade + 1
+    nu = Q.shape
+    if len(nu) != q + p_c - 1:
+        raise OperatorError(
+            f"vertical arity mismatch: {len(nu)} input slots vs {q + p_c - 1} output factors"
+        )
+    mu = P.top_gradevec()
+    m_ord, n_ord = Q.order, P.order
+
+    # composite shape: regroup Q's slots under the coarse factor layout
+    beta0_sizes = [mu_t + 1 for mu_t in mu]
+    sigma_c = []
+    j = 0
+    for t in range(q):
+        sigma_c.append(P.shape[t] + sum(nu[j : j + beta0_sizes[t]]))
+        j += beta0_sizes[t]
+    sigma_c = tuple(sigma_c)
+    comps: dict = {}
+    seen: set = set()
+
+    # a zero slot of the extended index survives in the composite only if
+    # it picks up input from Q or sits over a zero of the composite shape
+    max_zeros = m_ord + sum(1 for x in sigma_c if x == 0)
+    for kappa in list(P.components):
+        d = len(kappa)
+        for z in range(max_zeros + 1):
+            qp = d + z
+            if qp < q:
+                continue
+            for pos_slots in itertools.combinations(range(qp), d):
+                lam_p = [0] * qp
+                for idx, j2 in enumerate(pos_slots):
+                    lam_p[j2] = kappa[idx]
+                lam_p = tuple(lam_p)
+                ext_P = extend_degenerate(P, lam_p)
+                if not ext_P:
+                    continue
+                for rho in _epis_with_fiber_sums(lam_p, P.shape):
+                    for g_ext, Pmat in ext_P.items():
+                        push = tuple(
+                            sum(g_ext[j2 - 1] for j2 in rho.fiber(t)) for t in range(1, q + 1)
+                        )
+                        if push != mu:
+                            continue
+                        alpha, beta = _factor_maps(rho, g_ext, mu, p_c)
+                        # fibers of alpha over Q's slots
+                        fiber_sizes = [0] * len(nu)
+                        for x in alpha:
+                            fiber_sizes[x] += 1
+                        split_choices = [
+                            list(compositions(nu[x], fiber_sizes[x])) for x in range(len(nu))
+                        ]
+                        for parts in itertools.product(*split_choices):
+                            lam_q = tuple(itertools.chain.from_iterable(parts))
+                            key = (lam_p, g_ext, lam_q)
+                            if key in seen:
+                                continue
+                            seen.add(key)
+                            tau = list(lam_p)
+                            for j2, t in enumerate(beta):
+                                tau[t] += lam_q[j2]
+                            tau = tuple(tau)
+                            if refinement_witness(
+                                OrderedPartition(tau), OrderedPartition(sigma_c)
+                            ) is None:
+                                continue
+                            _accumulate_v(
+                                comps, B, Q, P, Pmat, lam_p, g_ext, lam_q, beta, tau
+                            )
+    return DiffOperator(B, sigma_c, P.grade + Q.grade, comps)
+
+
+def _factor_maps(rho: MonotoneMap, g_ext, mu, p_c):
+    """(alpha, beta): for the fine output factors of a zero-extended index
+    with grade vector g_ext, alpha assigns each to a coarse factor (two
+    fine factors merge at each junction inside a rho-fiber), beta assigns
+    each to its fine slot.  Both 0-based lists."""
+    alpha = []
+    beta = []
+    coarse = -1
+    qp = rho.dom
+    for s in range(1, rho.cod + 1):
+        first = True
+        for t in rho.fiber(s):
+            for k in range(g_ext[t - 1] + 1):
+                if k == 0 and not first:
+                    alpha.append(coarse)
+                else:
+                    coarse += 1
+                    alpha.append(coarse)
+                beta.append(t - 1)
+            first = False
+    return alpha, beta
+
+
+def _accumulate_v(comps, B, Q, P, Pmat, lam_p, g_ext, lam_q, beta, tau):
+    # drop slots where the composite index is zero: those slots pass their
+    # input through at both levels and are re-inserted on extension
+    zset = {t for t, x in enumerate(tau) if x == 0}
+    if zset:
+        keep_slots = [t for t in range(len(tau)) if t not in zset]
+        keep_factors = [j for j, t in enumerate(beta) if t not in zset]
+        lam_p = tuple(lam_p[t] for t in keep_slots)
+        g_r = tuple(g_ext[t] for t in keep_slots)
+        lam_q = tuple(lam_q[j] for j in keep_factors)
+        beta = [keep_slots.index(beta[j]) for j in keep_factors]
+        tau = tuple(tau[t] for t in keep_slots)
+        Pmat = extend_degenerate(P, lam_p).get(g_r)
+        if Pmat is None:
+            return
+        g_ext = g_r
+    for gq_ext, Qmat in extend_degenerate(Q, lam_q).items():
+        h = list(g_ext)
+        for j, t in enumerate(beta):
+            h[t] += gq_ext[j]
+        prod = Qmat @ Pmat
+        key = _positive(tau)
+        gkey = tuple(h[t] for t in range(len(tau)) if tau[t] > 0)
+        dst = comps.setdefault(key, {})
+        dst[gkey] = dst[gkey] + prod if gkey in dst else prod
+
+
+# per grade, the shapes whose basis operators join the vertical pool
+V_SHAPES = {0: [(1,), (2,), (1, 0), (0, 1), (1, 1)], 1: [(1,), (1, 0), (0, 1)], 2: [(1,)]}
+
+
+def v_pool(B: GradedTarget, rng, top_grade: int) -> list[DiffOperator]:
+    """Operators to compose vertically: the slotless unit and u^1..u^3,
+    the first and last basis operator of each shape in V_SHAPES (zero
+    slots included) and a seeded combination of each basis, and
+    side-by-side products with units and graded operators."""
+    pool = [one_operator(B), one_operator(B).scale(-2)] + [unit_operator(B, q) for q in (1, 2, 3)]
+    bases = {(shape, grade): solve_D(B, shape, grade)
+             for grade in range(top_grade + 1) for shape in V_SHAPES[grade]}
+    for basis in bases.values():
+        pool += basis[:1] + basis[-1:] + ([_combination(rng, basis)] if basis else [])
+    graded = bases[(1,), 1]
+    u = unit_operator(B, 1)
+    for P in (bases[(1,), 0] or graded)[:1] + graded[:1]:
+        pool += [h_compose(P, u), h_compose(u, P), h_compose(P, graded[-1])]
+        if top_grade > 1:  # three slots, to read a grade-2 output
+            pool.append(h_compose(u, h_compose(P, u)))
+    return pool
+
+
+def _outcome(Q: DiffOperator, P: DiffOperator, compose):
+    try:
+        return compose(Q, P)
+    except OperatorError as e:
+        return str(e)
+
+
+# highest grade of the pool's operators
+V_POOL_GRADE = {"dualnum": 2, "k2": 2, "m2": 1}
+
+
+@pytest.mark.parametrize("name", sorted(V_POOL_GRADE) + ["dualnum dense"])
+def test_v_compose_agrees_with_reference(name):
+    B = GradedTarget(conjugate("dualnum") if name == "dualnum dense" else TARGETS[name]())
+    pool = v_pool(B, random.Random(f"v_compose {name}"), V_POOL_GRADE.get(name, 1))
+    seen = {"arity": 0, "nonzero": 0, "zero slot": 0}
+    for Q in pool:
+        for P in pool:
+            got = _outcome(Q, P, v_compose)
+            assert got == _outcome(Q, P, reference_v_compose), (Q.shape, P.shape, P.grade)
+            if isinstance(got, str):
+                seen["arity"] += "arity mismatch" in got
+            elif not got.is_zero():
+                seen["nonzero"] += 1
+                seen["zero slot"] += 0 in got.shape
+    assert all(seen.values()), seen
+
+
+def test_v_compose_rejects_mixed_top_grades_like_reference(bases):
+    B, _ = bases["dualnum"]
+    basis = solve_D(B, (1, 1), 1)
+    tops = {P.top_gradevec(): P for P in basis}
+    mixed = tops[1, 0].add(tops[0, 1])
+    for Q in (unit_operator(B, 3), unit_operator(B, 2)):
+        got = _outcome(Q, mixed, v_compose)
+        assert got == _outcome(Q, mixed, reference_v_compose)
+        assert ("mixed output grade vectors" if len(Q.shape) == 3 else "arity mismatch") in got
