@@ -244,26 +244,6 @@ class GradedTarget:
         return Matrix.identity(self.A.dim**g).kron(rm)
 
 
-def ad_m(g_map: Matrix, grade: int, B: GradedTarget) -> Matrix:
-    """For g: A -> B_grade, the two-input defect
-    ad_m(g)(x, y) = g(xy) - x g(y) - g(x) y, as a matrix
-    A x A -> B_grade.  Zero exactly when g is a derivation."""
-    a = B.A.dim
-    out = Matrix.zeros(B.comp_dim(grade), a * a)
-    for i in range(a):
-        for j in range(a):
-            x, y = B.A.basis_vec(i), B.A.basis_vec(j)
-            val = g_map.apply(B.A.mul_vec(x, y))
-            gy = g_map.apply(y)
-            gx = g_map.apply(x)
-            lv = B.left_insert(x, grade).apply(gy)
-            rv = B.right_insert(y, grade).apply(gx)
-            col = i * a + j
-            for r in range(out.nrows):
-                out.rows[r][col] = val[r] - lv[r] - rv[r]
-    return out
-
-
 def hochschild_d(c: Matrix, p: int, grade: int, B: GradedTarget) -> Matrix:
     """Differential of a cochain c: A^{tensor p} -> B_grade, with A acting
     on the first and last tensor factors of B_grade:

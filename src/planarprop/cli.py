@@ -55,6 +55,15 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections (an unknown flag or command, a
+    bad value, a missing argument) raise CliError: exit 2 with one
+    `error:` line, like every other invalid input."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _read_algebra(spec: str) -> tuple[FinAlgebra, str]:
     """The algebra a spec names, not yet checked, and its digest."""
     if spec in STANDARD_ALGEBRAS:
@@ -81,11 +90,17 @@ def _load_algebra(spec: str) -> tuple[FinAlgebra, str]:
     return A, digest
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
+def _shape(args) -> tuple[int, ...]:
+    """The shape a command names by exactly one of --order n, read as
+    (n,), and --shape, comma-separated integers."""
+    if (args.order is None) == (args.shape is None):
+        raise CliError(f"{args.command} takes exactly one of --order and --shape")
+    if args.shape is None:
+        return (args.order,)
     try:
-        shape = tuple(int(x) for x in text.split(",") if x.strip() != "")
+        shape = tuple(int(x) for x in args.shape.split(","))
     except ValueError:
-        raise CliError(f"shape must be comma-separated integers, got {text!r}")
+        raise CliError(f"shape must be comma-separated integers, got {args.shape!r}")
     if any(x < 0 for x in shape):
         raise CliError("shape parts must be non-negative")
     return shape
@@ -109,34 +124,18 @@ def _header(args, algebra_hash: str | None = None) -> dict:
 
 def cmd_dims(args) -> int:
     A, digest = _load_algebra(args.algebra)
-    B = GradedTarget(A)
-    shapes = []
-    if args.shape:
-        shapes.append(_parse_shape(args.shape))
-    if args.order is not None:
-        shapes.append((args.order,))
-    if not shapes:
-        raise CliError("dims requires --order or --shape")
-    table = []
-    for shape in shapes:
-        basis = solve_D(B, shape, args.grade)
-        table.append({"shape": list(shape), "grade": args.grade, "dim": len(basis)})
+    shape = _shape(args)
+    basis = solve_D(GradedTarget(A), shape, args.grade)
     report = _header(args, digest)
-    report["dims"] = table
+    report["dims"] = [{"shape": list(shape), "grade": args.grade, "dim": len(basis)}]
     _emit(report, args)
     return 0
 
 
 def cmd_solve(args) -> int:
     A, digest = _load_algebra(args.algebra)
-    B = GradedTarget(A)
-    if args.shape:
-        shape = _parse_shape(args.shape)
-    elif args.order is not None:
-        shape = (args.order,)
-    else:
-        raise CliError("solve requires --order or --shape")
-    basis = solve_D(B, shape, args.grade)
+    shape = _shape(args)
+    basis = solve_D(GradedTarget(A), shape, args.grade)
     report = _header(args, digest)
     report["shape"] = list(shape)
     report["grade"] = args.grade
@@ -231,14 +230,15 @@ def cmd_graph(args) -> int:
 
 def cmd_aut_build(args) -> int:
     A, digest = _load_algebra(args.algebra)
+    if args.order < 1:
+        raise CliError("aut-build requires --order of at least 1")
+    if args.order > 3:
+        raise CliError("truncation length above 3 not supported", code=3)
     B = GradedTarget(A)
     lifts = derivation_lifts(B)[2]
     if lifts is None:
         raise CliError("derivation lift infeasible for this algebra", code=1)
-    if args.order is not None and args.order > 3:
-        raise CliError("truncation length above 3 not supported", code=3)
-    N = args.order if args.order else 3
-    phi = from_derivations(B, lifts, N=N)
+    phi = from_derivations(B, lifts, N=args.order)
     ok, where = validate_aut(phi)
     report = _header(args, digest)
     report["letters"] = len(lifts)
@@ -376,67 +376,46 @@ def _random_expr(rng, depth: int):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="planarprop",
         description="exact computations in the prop of multi-differential operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--algebra": dict(default="dualnum", help="spec file or one of dualnum, k2, m2"),
+        "--order": dict(type=int),
+        "--shape": dict(help="comma-separated slot orders, such as 1,0,2"),
+        "--grade": dict(type=int, default=0),
+    }
 
-    def common(p, algebra=True):
+    def command(name, func, help, *flags):
+        """A subcommand taking --seed, --out and exactly the given flags."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
         p.add_argument("--out", help="write the JSON report to this path")
-        if algebra:
-            p.add_argument("--algebra", default="dualnum", help="spec file or one of dualnum, k2, m2")
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--shape", default=None)
-        p.add_argument("--grade", type=int, default=0)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("dims", help="dimensions of operator spaces")
-    common(p)
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("solve", help="basis of an operator space")
-    common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("compose", help="compose two operators from JSON files")
-    common(p)
+    command("dims", cmd_dims, "dimensions of operator spaces", "--algebra", "--order", "--shape", "--grade")
+    command("solve", cmd_solve, "basis of an operator space", "--algebra", "--order", "--shape", "--grade")
+    p = command("compose", cmd_compose, "compose two operators from JSON files", "--algebra")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--mode", choices=["h", "v", "d"], default="d")
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("symbol", help="symbol exactness report at an order")
-    common(p)
-    p.set_defaults(func=cmd_symbol)
-
-    p = sub.add_parser("verify", help="run the invariant suites")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("normalize", help="normal form of a prop expression")
-    p.add_argument("expr")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("graph", help="level embedding and genus of a graph file")
+    command("symbol", cmd_symbol, "symbol exactness report at an order", "--algebra", "--order", "--grade")
+    command("verify", cmd_verify, "run the invariant suites", "--algebra")
+    command("normalize", cmd_normalize, "normal form of a prop expression").add_argument("expr")
+    p = command("graph", cmd_graph, "level embedding and genus of a graph file")
     p.add_argument("file")
     p.add_argument("--backtrack-planarity", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_graph)
+    p = command("aut-build", cmd_aut_build, "build an automorphism family from lifted derivations", "--algebra")
+    p.add_argument("--order", type=int, default=3, help="truncation length, 1 to 3")
+    command("aut-probe", cmd_aut_probe, "symbol surjectivity probe", "--algebra", "--order")
 
-    p = sub.add_parser("aut-build", help="build an automorphism family from lifted derivations")
-    common(p)
-    p.set_defaults(func=cmd_aut_build)
-
-    p = sub.add_parser("aut-probe", help="symbol surjectivity probe")
-    common(p)
-    p.set_defaults(func=cmd_aut_probe)
-
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         for flag in ("order", "grade"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:

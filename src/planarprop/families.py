@@ -14,6 +14,7 @@ double-derivation rule, which is how families are built in practice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -203,8 +204,10 @@ def pullback(sigma: MonotoneMap, phi: AutFamily) -> AutFamily:
 
 
 def r_map(phi: AutFamily, w) -> DiffOperator:
-    """The operator of order |w| whose component at a non-degenerate index
-    is the tensor of the family's maps on the corresponding subwords."""
+    """The operator of order and grade |w| whose component at a
+    non-degenerate index lam is the tensor of the family's maps on the
+    subwords lam cuts w into; a subword of length k maps into grade k, so
+    the block's grade vector is lam itself."""
     w = tuple(w)
     n = len(w)
     B = phi.B
@@ -212,41 +215,14 @@ def r_map(phi: AutFamily, w) -> DiffOperator:
         raise FamilyError(f"word of length {n} exceeds the truncation {phi.N}")
     if n == 0:
         return unit_operator(B, 1)
-    a = B.A.dim
     comps: dict = {}
-    grade = None
     for d in range(1, n + 1):
         for lam in compositions(n, d, positive=True):
-            mats = []
-            grades = []
-            pos = 0
-            ok = True
-            for part in lam:
-                sub = w[pos : pos + part]
-                pos += part
-                m = phi.maps.get(sub)
-                if m is None:
-                    ok = False
-                    break
-                mats.append(m)
-                g = 0
-                while a ** (g + 1) < m.nrows:
-                    g += 1
-                grades.append(g)
-            if not ok:
-                continue
-            block = mats[0]
-            for m in mats[1:]:
-                block = block.kron(m)
-            total = sum(grades)
-            if grade is None:
-                grade = total
-            elif grade != total:
-                raise FamilyError("family components have inconsistent grades")
-            comps.setdefault(lam, {})[tuple(grades)] = block
-    if grade is None:
-        grade = 0
-    return DiffOperator(B, (n,), grade, comps)
+            cuts = list(itertools.accumulate(lam, initial=0))
+            mats = [phi.maps.get(w[i:j]) for i, j in zip(cuts, cuts[1:])]
+            if all(m is not None for m in mats):
+                comps[lam] = {lam: functools.reduce(Matrix.kron, mats)}
+    return DiffOperator(B, (n,), n, comps)
 
 
 def lift_derivation(B: GradedTarget, der: Matrix, dd_basis: list[Matrix]) -> Matrix | None:
@@ -282,41 +258,30 @@ def derivation_lifts(B: GradedTarget) -> tuple[list[Matrix], list[Matrix], list[
 
 def surjectivity_probe(A: FinAlgebra, n: int) -> dict:
     """Constructive check that operator symbols at order n (n at most 2)
-    are hit by families built from lifted derivations."""
+    are hit by families built from lifted derivations: the rank of the
+    collapsed symbols of r_map over the words of length n against the
+    dimension of the symbol space.  Infeasible lifts span nothing; they
+    occur only when a derivation exists, so the symbol space is not zero."""
     if n not in (1, 2):
         raise FamilyError("the probe is implemented at order 1 and 2")
     B = GradedTarget(A)
     ders, dd_basis, lifts = derivation_lifts(B)
-    report = {
+    letters = lifts or []
+    fin = (1,) * n
+    phi = from_derivations(B, letters, N=n)
+    collapse = functools.reduce(Matrix.kron, [B.A.mult_matrix()] * n)
+    vecs = []
+    for w in itertools.product(range(len(letters)), repeat=n):
+        coll = collapse @ symbol(r_map(phi, w)).block(fin, fin)
+        vecs.append([x for row in coll.rows for x in row])
+    symbol_dim = len(solve_D(B, fin, 0))
+    rank = span_rank(vecs)
+    return {
         "order": n,
         "dim_derivations": len(ders),
         "dim_double_derivations": len(dd_basis),
         "lift_feasible": lifts is not None,
+        "symbol_dim": symbol_dim,
+        "span_rank": rank,
+        "spanned": rank == symbol_dim,
     }
-    if lifts is None:
-        report["spanned"] = len(ders) == 0
-        report["span_rank"] = 0
-        report["symbol_dim"] = len(ders) if n == 1 else len(solve_D(B, (1,) * n, 0))
-        return report
-    phi = from_derivations(B, lifts, N=max(n, 1)) if lifts else None
-    mm = B.A.mult_matrix()
-    if n == 1:
-        target_dim = len(ders)
-        vecs = []
-        for i in range(len(lifts)):
-            coll = mm @ r_map(phi, (i,)).block((1,), (1,))
-            vecs.append([x for row in coll.rows for x in row])
-        rank = span_rank(vecs)
-    else:
-        target_dim = len(solve_D(B, (1, 1), 0))
-        vecs = []
-        for i in range(len(lifts)):
-            for j in range(len(lifts)):
-                sym = symbol(r_map(phi, (i, j))).block((1, 1), (1, 1))
-                coll = mm.kron(mm) @ sym
-                vecs.append([x for row in coll.rows for x in row])
-        rank = span_rank(vecs)
-    report["symbol_dim"] = target_dim
-    report["span_rank"] = rank
-    report["spanned"] = rank == target_dim
-    return report

@@ -282,13 +282,35 @@ class PlanarGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PlanarGraph":
-        he = lambda x: (x[0], x[1], x[2])
+        """Raises GraphError when obj is not an object of lists, a vertex
+        not an object with non-negative integer "in", "out" and optional
+        "genus", an edge not a pair of half-edges, or a half-edge not a
+        [vertex, "in" or "out", port] triple of that form."""
+        fields = ("vertices", "edges", "inputs", "outputs")
+        if not (isinstance(obj, dict) and all(isinstance(obj[k], list) for k in fields)):
+            raise GraphError("a graph is a JSON object with lists vertices, edges, inputs and outputs")
+        for v in obj["vertices"]:
+            if not (isinstance(v, dict) and all(_natural(x) for x in (v["in"], v["out"], v.get("genus", 0)))):
+                raise GraphError(f"vertex {v!r} is not an object of non-negative integers in, out and genus")
+        for e in obj["edges"]:
+            if not (isinstance(e, list) and len(e) == 2):
+                raise GraphError(f"edge {e!r} is not a pair of half-edges")
         return cls(
             vertices=[Corolla(v["in"], v["out"], v.get("genus", 0)) for v in obj["vertices"]],
-            edges=[(he(a), he(b)) for a, b in obj["edges"]],
-            graph_inputs=[he(h) for h in obj["inputs"]],
-            graph_outputs=[he(h) for h in obj["outputs"]],
+            edges=[(_half_edge(a), _half_edge(b)) for a, b in obj["edges"]],
+            graph_inputs=[_half_edge(h) for h in obj["inputs"]],
+            graph_outputs=[_half_edge(h) for h in obj["outputs"]],
         )
+
+
+def _natural(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _half_edge(x) -> HalfEdge:
+    if not (isinstance(x, list) and len(x) == 3 and _natural(x[0]) and x[1] in ("in", "out") and _natural(x[2])):
+        raise GraphError(f"half-edge {x!r} is not a [vertex, \"in\" or \"out\", port] triple")
+    return (x[0], x[1], x[2])
 
 
 def hcomp_graph(a: Corolla, b: Corolla) -> PlanarGraph:

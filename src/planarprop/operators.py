@@ -54,6 +54,17 @@ def _naturals(v) -> bool:
     return isinstance(v, list) and all(type(x) is int and x >= 0 for x in v)
 
 
+def _rational_matrix(rows) -> Matrix:
+    """A block matrix as JSON holds it: a list of equally long lists of
+    rationals (numbers or strings such as "-1/2")."""
+    if isinstance(rows, list) and all(isinstance(r, list) for r in rows):
+        try:
+            return Matrix([[Fraction(x) for x in r] for r in rows])
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise OperatorError(f"block matrix {rows!r} is not a list of rows of rationals")
+
+
 def _positive(t) -> tuple[int, ...]:
     return tuple(x for x in t if x > 0)
 
@@ -226,14 +237,18 @@ class DiffOperator:
 
     @classmethod
     def from_json(cls, B: GradedTarget, obj: dict) -> "DiffOperator":
-        """Raises OperatorError when the shape is not a list of
-        non-negative integers, the grade not a non-negative integer, or
-        the type not a list of positive integers summing to the slot
-        count; and when a block's refinement or grades are not lists of
-        non-negative integers, its refinement does not refine the positive
-        core of the shape, its grade vector does not fit its refinement or
-        the grade, or its size does not fit the algebra."""
+        """Raises OperatorError when obj is not an object whose components
+        are a list of objects, the shape is not a list of non-negative
+        integers, the grade not a non-negative integer, or the type not a
+        list of positive integers summing to the slot count; and when a
+        block's refinement or grades are not lists of non-negative
+        integers, its matrix not a list of rows of rationals, its
+        refinement does not refine the positive core of the shape, its
+        grade vector does not fit its refinement or the grade, or its size
+        does not fit the algebra."""
         a = B.A.dim
+        if not isinstance(obj, dict):
+            raise OperatorError(f"an operator is a JSON object, got {type(obj).__name__}")
         shape, grade, pi = obj["shape"], obj["grade"], obj["type"]
         if not _naturals(shape):
             raise OperatorError(f"shape {shape!r} is not a list of non-negative integers")
@@ -244,13 +259,16 @@ class DiffOperator:
         shape = tuple(shape)
         refinements = _core_refinements(_positive(shape))
         comps: dict = {}
-        for c in obj["components"]:
+        blocks = obj["components"]
+        if not (isinstance(blocks, list) and all(isinstance(c, dict) for c in blocks)):
+            raise OperatorError("components is not a list of objects")
+        for c in blocks:
             for field in ("refinement", "grades"):
                 if not _naturals(c[field]):
                     raise OperatorError(f"block {field} {c[field]!r} is not a list of non-negative integers")
             kappa = tuple(c["refinement"])
             g = tuple(c["grades"])
-            M = Matrix([[Fraction(x) for x in row] for row in c["matrix"]])
+            M = _rational_matrix(c["matrix"])
             if kappa not in refinements:
                 raise OperatorError(f"block {list(kappa)} does not refine the shape {list(shape)}")
             if len(g) != len(kappa) or sum(g) != grade:

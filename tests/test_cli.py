@@ -118,15 +118,17 @@ def test_normalize_bad_expression_exits_2():
     assert r.returncode == 2
 
 
+GOOD_GRAPH = {
+    "vertices": [{"in": 2, "out": 1, "genus": 0}, {"in": 1, "out": 2, "genus": 0}],
+    "edges": [[[1, "out", 1], [0, "in", 1]], [[1, "out", 2], [0, "in", 2]]],
+    "inputs": [[1, "in", 1]],
+    "outputs": [[0, "out", 1]],
+}
+
+
 def test_graph_planar_and_not(tmp_path):
-    good = {
-        "vertices": [{"in": 2, "out": 1, "genus": 0}, {"in": 1, "out": 2, "genus": 0}],
-        "edges": [[[1, "out", 1], [0, "in", 1]], [[1, "out", 2], [0, "in", 2]]],
-        "inputs": [[1, "in", 1]],
-        "outputs": [[0, "out", 1]],
-    }
     gf = tmp_path / "good.json"
-    gf.write_text(json.dumps(good))
+    gf.write_text(json.dumps(GOOD_GRAPH))
     r = run_cli("graph", str(gf))
     assert r.returncode == 0
     report = json.loads(r.stdout)
@@ -168,7 +170,9 @@ def test_aut_build_k2():
     assert json.loads(r.stdout)["valid"] is True
 
 
-# Subcommands that take --order/--grade, with the positional arguments each needs.
+# Each algebra subcommand with the positional arguments it needs: a negative
+# --order or --grade is rejected on each, as a bad value where the command
+# takes the flag and as an unrecognized argument where it does not.
 ORDER_GRADE_COMMANDS = {
     "dims": [],
     "solve": [],
@@ -208,6 +212,79 @@ def test_bad_order_or_grade_exits_2(argv, capsys):
 def test_negative_order_or_grade_rejected_everywhere(command, flag, capsys):
     err = _rejected([command, *ORDER_GRADE_COMMANDS[command], "--order", "1", flag, "-1"], capsys)
     assert flag in err
+
+
+# the flags each algebra subcommand does not take
+REMOVED_FLAGS = [
+    ("compose", "--order", "1"),
+    ("compose", "--shape", "1"),
+    ("compose", "--grade", "0"),
+    ("verify", "--order", "1"),
+    ("verify", "--shape", "1"),
+    ("verify", "--grade", "0"),
+    ("symbol", "--shape", "1"),
+    ("aut-build", "--shape", "1"),
+    ("aut-build", "--grade", "0"),
+    ("aut-probe", "--shape", "1"),
+    ("aut-probe", "--grade", "0"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS)
+def test_a_flag_the_command_does_not_take_exits_2(command, flag, value, capsys):
+    argv = [command, *ORDER_GRADE_COMMANDS[command], "--algebra", "k2", flag, value]
+    if command in ("symbol", "aut-probe"):
+        argv += ["--order", "1"]
+    assert f"unrecognized arguments: {flag} {value}" in _rejected(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dims", "--algebra", "k2", "--order", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["dims", "--algebra", "k2", "--order", "x"], "argument --order: invalid int value: 'x'"),
+        (["dims", "--algebra", "k2", "--order", "1", "--grade", "1.5"], "argument --grade: invalid int value"),
+        (["compose", "a.json", "b.json", "--mode", "q"], "argument --mode: invalid choice: 'q'"),
+        (["compose", "a.json"], "the following arguments are required: right"),
+        (["graph"], "the following arguments are required: file"),
+        (["normalize"], "the following arguments are required: expr"),
+        (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_argument_parser_rejections_exit_2(argv, message, capsys):
+    assert message in _rejected(argv, capsys)
+
+
+@pytest.mark.parametrize("command", ["dims", "solve"])
+@pytest.mark.parametrize("flags", [["--order", "1", "--shape", "1"], []])
+def test_dims_and_solve_take_exactly_one_of_order_and_shape(command, flags, capsys):
+    err = _rejected([command, "--algebra", "dualnum", *flags], capsys)
+    assert f"{command} takes exactly one of --order and --shape" in err
+
+
+@pytest.mark.parametrize("shape", ["1,,1", ",", "1,", "", "1,x", "1,-1"])
+def test_malformed_shape_exits_2(shape, capsys):
+    err = _rejected(["solve", "--algebra", "dualnum", "--shape", shape], capsys)
+    assert "shape" in err
+
+
+@pytest.mark.parametrize("algebra", ["m2", "dualnum"])
+def test_aut_build_order_zero_exits_2_before_any_solve(algebra, monkeypatch, capsys):
+    from planarprop import cli
+
+    monkeypatch.setattr(cli, "derivation_lifts", None)  # never reached
+    err = _rejected(["aut-build", "--algebra", algebra, "--order", "0"], capsys)
+    assert "aut-build requires --order of at least 1" in err
+
+
+def test_aut_build_order_above_3_exits_3_before_any_solve(monkeypatch, capsys):
+    from planarprop import cli
+
+    monkeypatch.setattr(cli, "derivation_lifts", None)  # never reached
+    assert cli.main(["aut-build", "--algebra", "dualnum", "--order", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: truncation length above 3 not supported\n"
 
 
 @pytest.mark.parametrize(
@@ -313,6 +390,10 @@ def test_compose_of_operators_that_do_not_fit_exits_2(operator_files, algebra, l
         (lambda c: c.update(refinement=[3]), "does not refine the shape"),
         (lambda c: c.update(refinement=[1.0]), "refinement [1.0] is not a list of non-negative integers"),
         (lambda c: c.update(grades=[-1]), "grades [-1] is not a list of non-negative integers"),
+        (lambda c: c.update(matrix=5), "block matrix 5 is not a list of rows of rationals"),
+        (lambda c: c["matrix"][0].__setitem__(0, ["1"]), "is not a list of rows of rationals"),
+        (lambda c: c.update(matrix=[["1"], ["1", "0"]]), "is not a list of rows of rationals"),
+        (lambda c: c.update(matrix=[["1/0", "0"], ["0", "0"]]), "is not a list of rows of rationals"),
     ],
 )
 def test_compose_rejects_a_misshapen_block(operator_files, tmp_path, edit, message, capsys):
@@ -334,6 +415,8 @@ def test_compose_rejects_a_misshapen_block(operator_files, tmp_path, edit, messa
         ({"type": [2, -1]}, "h", "type [2, -1] is not a list of positive integers summing to 1"),
         ({"shape": [1.5]}, "h", "shape [1.5] is not"),
         ({"shape": "1"}, "h", "shape '1' is not"),
+        ({"components": 5}, "h", "components is not a list of objects"),
+        ({"components": ["block"]}, "h", "components is not a list of objects"),
     ],
 )
 def test_compose_rejects_a_malformed_operator(operator_files, tmp_path, fields, mode, message, capsys):
@@ -342,6 +425,31 @@ def test_compose_rejects_a_malformed_operator(operator_files, tmp_path, fields, 
     bad.write_text(json.dumps({**op, **fields}))
     argv = ["compose", "--algebra", "dualnum", str(bad), operator_files["P"], "--mode", mode]
     assert message in _rejected(argv, capsys)
+
+
+def test_compose_rejects_an_operator_file_that_is_not_an_object(operator_files, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([json.loads(pathlib.Path(operator_files["P"]).read_text())]))
+    argv = ["compose", "--algebra", "dualnum", operator_files["P"], str(bad), "--mode", "h"]
+    assert "an operator is a JSON object, got list" in _rejected(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        ({**GOOD_GRAPH, "vertices": 5}, "a graph is a JSON object with lists"),
+        ([GOOD_GRAPH], "a graph is a JSON object with lists"),
+        ({**GOOD_GRAPH, "inputs": [[1, "in"]]}, "half-edge [1, 'in'] is not a [vertex"),
+        ({**GOOD_GRAPH, "outputs": [[0, "out", [1]]]}, "half-edge [0, 'out', [1]] is not"),
+        ({**GOOD_GRAPH, "vertices": [{"in": "x", "out": 1}, GOOD_GRAPH["vertices"][1]]}, "vertex {'in': 'x', 'out': 1}"),
+        ({**GOOD_GRAPH, "vertices": [3, GOOD_GRAPH["vertices"][1]]}, "vertex 3 is not an object"),
+        ({**GOOD_GRAPH, "edges": [[[1, "out", 1]]]}, "is not a pair of half-edges"),
+    ],
+)
+def test_graph_rejects_a_malformed_file(graph, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(graph))
+    assert message in _rejected(["graph", str(path)], capsys)
 
 
 @pytest.mark.parametrize("left, right", [("Z", "Z"), ("Z", "P"), ("P", "Z")])

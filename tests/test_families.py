@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from planarprop.algebras import GradedTarget, dual_numbers, kxk, m2
+from planarprop.algebras import FinAlgebra, GradedTarget, dual_numbers, kxk, m2
 from planarprop.families import (
     AutFamily,
     FamilyError,
@@ -101,6 +101,16 @@ class TestRMap:
     def test_empty_word_is_unit(self, Bdn, dd):
         phi = from_derivations(Bdn, [dd], N=2)
         assert r_map(phi, ()) == unit_operator(Bdn, 1)
+
+    def test_grade_is_the_word_length_over_a_one_dimensional_algebra(self):
+        # over Q every map is 1x1, so the grade cannot be read off the
+        # row count: each block's grade vector is its refinement
+        B = GradedTarget(FinAlgebra(1, (((Fraction(1),),),), (Fraction(1),)))
+        one = Matrix([[1]])
+        phi = AutFamily(B, 1, 2, {(0,): one, (0, 0): one})
+        P = r_map(phi, (0, 0))
+        assert P.grade == 2
+        assert P.components == {(2,): {(2,): one}, (1, 1): {(1, 1): one}}
 
     def test_truncation_exceeded(self, Bdn, dd):
         phi = from_derivations(Bdn, [dd], N=2)

@@ -12,7 +12,11 @@ vertical composition of single-slot operators; its reference sums, per
 composite index, the products of the factors' degenerate extensions.
 `v_compose` sums over the admissible terms only; its reference searches
 every zero-extended index of P, every epi onto P's shape and every split
-of Q's orders, and keeps the terms that refine the composite shape."""
+of Q's orders, and keeps the terms that refine the composite shape.
+`r_map` reads each block's grade vector off its refinement; its
+reference reads it off the block's row count.  `surjectivity_probe` runs
+one path for order 1, order 2 and infeasible lifts; its reference
+branches on each, and both must give the same report."""
 
 import itertools
 import random
@@ -21,9 +25,17 @@ from fractions import Fraction
 import pytest
 from test_leibniz import conjugate
 
-from planarprop.algebras import GradedTarget, dual_numbers, kxk, m2
-from planarprop.families import AutFamily, derivation_lifts, from_derivations, validate_aut
-from planarprop.linalg import Matrix, Q0
+from planarprop.algebras import FinAlgebra, GradedTarget, dual_numbers, kxk, m2
+from planarprop.families import (
+    AutFamily,
+    FamilyError,
+    derivation_lifts,
+    from_derivations,
+    r_map,
+    surjectivity_probe,
+    validate_aut,
+)
+from planarprop.linalg import Matrix, Q0, span_rank
 from planarprop.operators import (
     DiffOperator,
     OperatorError,
@@ -35,6 +47,7 @@ from planarprop.operators import (
     one_operator,
     solve_D,
     solve_Dn,
+    symbol,
     unit_operator,
     v_compose,
 )
@@ -617,3 +630,139 @@ def test_v_compose_rejects_mixed_top_grades_like_reference(bases):
         got = _outcome(Q, mixed, v_compose)
         assert got == _outcome(Q, mixed, reference_v_compose)
         assert ("mixed output grade vectors" if len(Q.shape) == 3 else "arity mismatch") in got
+
+
+def reference_r_map(phi: AutFamily, w) -> DiffOperator:
+    """The operator of order |w| whose component at a non-degenerate index
+    is the tensor of the family's maps on the corresponding subwords."""
+    w = tuple(w)
+    n = len(w)
+    B = phi.B
+    if n > phi.N:
+        raise FamilyError(f"word of length {n} exceeds the truncation {phi.N}")
+    if n == 0:
+        return unit_operator(B, 1)
+    a = B.A.dim
+    comps: dict = {}
+    grade = None
+    for d in range(1, n + 1):
+        for lam in compositions(n, d, positive=True):
+            mats = []
+            grades = []
+            pos = 0
+            ok = True
+            for part in lam:
+                sub = w[pos : pos + part]
+                pos += part
+                m = phi.maps.get(sub)
+                if m is None:
+                    ok = False
+                    break
+                mats.append(m)
+                g = 0
+                while a ** (g + 1) < m.nrows:
+                    g += 1
+                grades.append(g)
+            if not ok:
+                continue
+            block = mats[0]
+            for m in mats[1:]:
+                block = block.kron(m)
+            total = sum(grades)
+            if grade is None:
+                grade = total
+            elif grade != total:
+                raise FamilyError("family components have inconsistent grades")
+            comps.setdefault(lam, {})[tuple(grades)] = block
+    if grade is None:
+        grade = 0
+    return DiffOperator(B, (n,), grade, comps)
+
+
+def reference_surjectivity_probe(A: FinAlgebra, n: int) -> dict:
+    """Constructive check that operator symbols at order n (n at most 2)
+    are hit by families built from lifted derivations."""
+    if n not in (1, 2):
+        raise FamilyError("the probe is implemented at order 1 and 2")
+    B = GradedTarget(A)
+    ders, dd_basis, lifts = derivation_lifts(B)
+    report = {
+        "order": n,
+        "dim_derivations": len(ders),
+        "dim_double_derivations": len(dd_basis),
+        "lift_feasible": lifts is not None,
+    }
+    if lifts is None:
+        report["spanned"] = len(ders) == 0
+        report["span_rank"] = 0
+        report["symbol_dim"] = len(ders) if n == 1 else len(solve_D(B, (1,) * n, 0))
+        return report
+    phi = from_derivations(B, lifts, N=max(n, 1)) if lifts else None
+    mm = B.A.mult_matrix()
+    if n == 1:
+        target_dim = len(ders)
+        vecs = []
+        for i in range(len(lifts)):
+            coll = mm @ reference_r_map(phi, (i,)).block((1,), (1,))
+            vecs.append([x for row in coll.rows for x in row])
+        rank = span_rank(vecs)
+    else:
+        target_dim = len(solve_D(B, (1, 1), 0))
+        vecs = []
+        for i in range(len(lifts)):
+            for j in range(len(lifts)):
+                sym = symbol(reference_r_map(phi, (i, j))).block((1, 1), (1, 1))
+                coll = mm.kron(mm) @ sym
+                vecs.append([x for row in coll.rows for x in row])
+        rank = span_rank(vecs)
+    report["symbol_dim"] = target_dim
+    report["span_rank"] = rank
+    report["spanned"] = rank == target_dim
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+@pytest.mark.parametrize("kind", ["std", "conj"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_surjectivity_probe_agrees_with_reference(name, kind, n):
+    A = conjugate(name) if kind == "conj" else TARGETS[name]()
+    assert surjectivity_probe(A, n) == reference_surjectivity_probe(A, n)
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+@pytest.mark.parametrize("kind", ["std", "conj"])
+def test_r_map_agrees_with_reference_on_derivation_families(name, kind):
+    # lifted derivations where they exist (m2; k2 has none), and two
+    # double derivations as letters on every algebra
+    B = GradedTarget(conjugate(name) if kind == "conj" else TARGETS[name]())
+    _, dd_basis, lifts = derivation_lifts(B)
+    for letters in (lifts or [], dd_basis[:2]):
+        phi = from_derivations(B, letters, N=2)
+        for n in (1, 2):
+            for w in itertools.product(range(len(letters)), repeat=n):
+                assert r_map(phi, w) == reference_r_map(phi, w), w
+
+
+def random_family(B: GradedTarget, rng, N: int) -> AutFamily:
+    """Two letters, a dense map with entries in {-2, -1, 1, 2} for every
+    word up to length N, and each word of length two or more left out
+    with probability 1/3, so that some blocks are missing."""
+    a = B.A.dim
+    maps = {}
+    for k in range(1, N + 1):
+        for w in itertools.product(range(2), repeat=k):
+            if k == 1 or rng.random() >= 1 / 3:
+                maps[w] = Matrix([[rng.choice((-2, -1, 1, 2)) for _ in range(a)] for _ in range(a ** (k + 1))])
+    return AutFamily(B, 2, N, maps)
+
+
+@pytest.mark.parametrize("name", ["dualnum", "k2"])
+@pytest.mark.parametrize("kind", ["std", "conj"])
+def test_r_map_agrees_with_reference_on_random_families(name, kind):
+    B = GradedTarget(conjugate(name) if kind == "conj" else TARGETS[name]())
+    rng = random.Random(f"r_map {name} {kind}")
+    for _ in range(3):
+        phi = random_family(B, rng, 3)
+        for n in range(4):
+            for w in itertools.product(range(2), repeat=n):
+                assert r_map(phi, w) == reference_r_map(phi, w), w
