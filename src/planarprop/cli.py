@@ -109,8 +109,11 @@ def _shape(args) -> tuple[int, ...]:
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliError(f"cannot write report: {e}")
     else:
         sys.stdout.write(text)
 

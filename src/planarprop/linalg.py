@@ -1,13 +1,19 @@
 """Exact rational matrices: arithmetic, RREF, deterministic nullspace bases.
 
 Dense `Matrix` entries are `fractions.Fraction`; no floating point
-anywhere.  The sparse `SparseEchelon` keeps its rows integral and
-primitive and eliminates fraction-free; `Fraction`s appear only in the
-reduced echelon form it emits.  The nullspace basis convention is fixed
-once and for all: reduced row echelon form with pivots chosen left to
-right, one basis vector per free column, free columns taken in increasing
-index order.  Every caller that freezes expected values relies on this
-being deterministic.
+anywhere.  Zeros are kept as the shared `Q0`, so a scan tests an entry
+by identity before its value.  The dense products (`@`, `apply`,
+`kron`) read each operand once into a common denominator and the
+integer numerators of its nonzero entries, multiply and add plain ints,
+and build one `Fraction` per nonzero entry of the result.  The sparse
+`SparseEchelon` keeps its rows integral and primitive and eliminates
+fraction-free; `Fraction`s appear only in the reduced echelon form it
+emits, and `Matrix.rref`, `rank`, `nullspace` and `solve` all eliminate
+through it.  The nullspace basis convention is fixed once and for all:
+reduced row echelon form with pivots chosen left to right, one basis
+vector per free column, free columns taken in increasing index order.
+Every caller that freezes expected values relies on this being
+deterministic.
 """
 
 from __future__ import annotations
@@ -21,12 +27,29 @@ Q1 = Fraction(1)
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction, and any zero as the shared Q0."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x if x else Q0
 
 
 def _exact(x: Fraction):
     """x as an int when integral, so integral constants give integer sums."""
     return x.numerator if x.denominator == 1 else x
+
+
+def _int_rows(rows: Sequence[Sequence]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """A common denominator `den` of the entries of `rows` and, per row,
+    the (column, numerator over den) pairs of its nonzero entries.  One
+    pass over the entries skips the shared `Q0` by identity; other zeros
+    drop out by their numerator."""
+    ratios = [(i, j, x.as_integer_ratio()) for i, r in enumerate(rows) for j, x in enumerate(r) if x is not Q0]
+    den = lcm(*{d for _, _, (_, d) in ratios})
+    out = [[] for _ in rows]
+    for i, j, (n, d) in ratios:
+        if n:
+            out[i].append((j, n * (den // d)))
+    return den, out
 
 
 class Matrix:
@@ -45,11 +68,15 @@ class Matrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
+    def _of(cls, rows: list[list[Fraction]], ncols: int) -> "Matrix":
+        """Wrap rows of Fractions, already of length ncols, without a copy."""
         m = cls.__new__(cls)
-        m.nrows, m.ncols = nrows, ncols
-        m.rows = [[Q0] * ncols for _ in range(nrows)]
+        m.nrows, m.ncols, m.rows = len(rows), ncols, rows
         return m
+
+    @classmethod
+    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
+        return cls._of([[Q0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -78,15 +105,12 @@ class Matrix:
         return Matrix(self.rows)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(x is not Q0 and x for r in self.rows for x in r)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
 
     def __repr__(self):
         return f"Matrix({self.rows!r})"
@@ -96,18 +120,8 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
-        m = Matrix.__new__(Matrix)
-        m.nrows, m.ncols = self.nrows, self.ncols
-        m.rows = [[a + b if b else a for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        return m
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix subtraction")
-        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self.rows])
+        rows = [[a + b if b is not Q0 and b else a for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return Matrix._of(rows, self.ncols)
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
@@ -116,100 +130,81 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        out = Matrix.zeros(self.nrows, other.ncols)
-        orows = other.rows
-        for i, r in enumerate(self.rows):
-            acc = out.rows[i]
-            for k, a in enumerate(r):
-                if a:
-                    ork = orows[k]
-                    for j in range(other.ncols):
-                        b = ork[j]
-                        if b:
-                            acc[j] += a * b
-        return out
+        da, arows = _int_rows(self.rows)
+        db, brows = _int_rows(other.rows)
+        den, p = da * db, other.ncols
+        acc = [0] * (self.nrows * p)
+        for i, r in enumerate(arows):
+            base = i * p
+            for k, a in r:
+                for j, b in brows[k]:
+                    acc[base + j] += a * b
+        vals = [Fraction(v, den) if v else Q0 for v in acc]
+        return Matrix._of([vals[i * p:(i + 1) * p] for i in range(self.nrows)], p)
 
     def apply(self, vec: Sequence) -> list[Fraction]:
         """Matrix-vector product."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return [sum((a * _frac(x) for a, x in zip(r, vec) if a), Q0) for r in self.rows]
+        da, arows = _int_rows(self.rows)
+        dv, (pairs,) = _int_rows([vec])
+        x = [0] * self.ncols
+        for j, v in pairs:
+            x[j] = v
+        den = da * dv
+        out = []
+        for r in arows:
+            s = 0
+            for j, a in r:
+                s += a * x[j]
+            out.append(Fraction(s, den) if s else Q0)
+        return out
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; index convention is big-endian (first factor
         owns the most significant digit), matching the tensor-basis
         linearisation used throughout the package."""
-        out = Matrix.zeros(self.nrows * other.nrows, self.ncols * other.ncols)
-        for i, r in enumerate(self.rows):
-            for k, a in enumerate(r):
-                if a:
-                    for i2, r2 in enumerate(other.rows):
-                        tr = out.rows[i * other.nrows + i2]
-                        base = k * other.ncols
-                        for k2, b in enumerate(r2):
-                            if b:
-                                tr[base + k2] = a * b
+        da, arows = _int_rows(self.rows)
+        db, brows = _int_rows(other.rows)
+        den, p, q = da * db, other.nrows, other.ncols
+        out = Matrix.zeros(self.nrows * p, self.ncols * q)
+        for i, r in enumerate(arows):
+            for k, a in r:
+                base = k * q
+                for tr, r2 in zip(out.rows[i * p:(i + 1) * p], brows):
+                    for k2, b in r2:
+                        tr[base + k2] = Fraction(a * b, den)
         return out
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
     # -- elimination --------------------------------------------------
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        m = [row[:] for row in self.rows]
-        pivots: list[int] = []
-        pr = 0
-        for pc in range(self.ncols):
-            sel = None
-            for i in range(pr, self.nrows):
-                if m[i][pc]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            m[pr], m[sel] = m[sel], m[pr]
-            inv = Q1 / m[pr][pc]
-            m[pr] = [x * inv for x in m[pr]]
-            for i in range(self.nrows):
-                if i != pr and m[i][pc]:
-                    f = m[i][pc]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.nrows:
-                break
-        return Matrix(m), pivots
+        red = span_echelon(self.rows, self.ncols).rref()
+        m = Matrix.zeros(self.nrows, self.ncols)
+        for row, prow in zip(m.rows, red.values()):
+            for j, v in prow.items():
+                row[j] = v
+        return m, list(red)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return span_echelon(self.rows, self.ncols).rank
 
     def nullspace(self) -> list[list[Fraction]]:
         """Deterministic kernel basis: one vector per free column, free
         columns in increasing order.  rank + len(result) == ncols."""
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        basis = []
-        for j in range(self.ncols):
-            if j in pivset:
-                continue
-            v = [Q0] * self.ncols
-            v[j] = Q1
-            for pr, pc in enumerate(pivots):
-                v[pc] = -red.rows[pr][j]
-            basis.append(v)
-        return basis
+        kernel = span_echelon(self.rows, self.ncols).nullspace()
+        return [[v.get(j, Q0) for j in range(self.ncols)] for v in kernel]
 
     def solve(self, rhs: Sequence) -> list[Fraction] | None:
         """One exact solution of self @ x = rhs, or None if inconsistent."""
-        aug = Matrix([r + [_frac(b)] for r, b in zip(self.rows, rhs)])
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
+        n = self.ncols
+        red = span_echelon([r + [b] for r, b in zip(self.rows, rhs)], n + 1).rref()
+        if n in red:
             return None
-        x = [Q0] * self.ncols
-        for pr, pc in enumerate(pivots):
-            x[pc] = red.rows[pr][self.ncols]
+        x = [Q0] * n
+        for pc, prow in red.items():
+            x[pc] = prow.get(n, Q0)
         return x
 
 

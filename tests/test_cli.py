@@ -81,6 +81,12 @@ def test_misshapen_spec_exits_2(breakage, tmp_path, capsys):
     assert "not two-sided" not in err
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_exits_2(target, tmp_path, capsys):
+    err = _rejected(["dims", "--algebra", "k2", "--order", "1", "--out", str(tmp_path / target)], capsys)
+    assert err.startswith("error: cannot write report: ")
+
+
 def test_solve_and_compose_round_trip(tmp_path):
     r = run_cli("solve", "--algebra", "dualnum", "--order", "2",
                 "--out", str(tmp_path / "basis.json"))

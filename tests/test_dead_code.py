@@ -1,14 +1,17 @@
 """Dead-code guard over the package source, read with the standard
 library's `ast`: every module-level private function is referenced
-somewhere in the package, and every name a module other than `__init__`
-imports is used in that module."""
+somewhere in the package, every name a module other than `__init__`
+imports is used in that module, and every public method of the exact
+matrix classes is read somewhere in the package, the benchmark or the
+tests."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "planarprop"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "planarprop"
 TREES = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
@@ -33,6 +36,18 @@ def test_every_private_function_is_referenced():
         and node.name not in read
     ]
     assert not unreferenced, f"private functions nothing in src references: {unreferenced}"
+
+
+@pytest.mark.parametrize("cls", ["Matrix", "SparseEchelon"])
+def test_every_public_linalg_method_is_read(cls):
+    files = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    read = set().union(*(_read_names(ast.parse(p.read_text(), str(p))) for p in files))
+    body = next(n for n in TREES["linalg"].body if isinstance(n, ast.ClassDef) and n.name == cls).body
+    unread = [
+        node.name for node in body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read
+    ]
+    assert not unread, f"public methods of linalg.{cls} nothing in src, bench or tests reads: {unread}"
 
 
 @pytest.mark.parametrize("module", sorted(m for m in TREES if m != "__init__"))

@@ -4,12 +4,208 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from planarprop.linalg import Matrix, SparseEchelon, in_span, span_rank
+from planarprop.linalg import Q0, Q1, Matrix, SparseEchelon, in_span, span_rank
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+# Entry-by-entry Fraction products and dense Gauss-Jordan elimination:
+# oracles independent of the integer kernels and of `SparseEchelon`.
+
+
+def reference_matmul(self, other):
+    if self.ncols != other.nrows:
+        raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
+    out = Matrix.zeros(self.nrows, other.ncols)
+    orows = other.rows
+    for i, r in enumerate(self.rows):
+        acc = out.rows[i]
+        for k, a in enumerate(r):
+            if a:
+                ork = orows[k]
+                for j in range(other.ncols):
+                    b = ork[j]
+                    if b:
+                        acc[j] += a * b
+    return out
+
+
+def reference_apply(self, vec):
+    if len(vec) != self.ncols:
+        raise ValueError("vector length mismatch")
+    return [sum((a * Fraction(x) for a, x in zip(r, vec) if a), Q0) for r in self.rows]
+
+
+def reference_kron(self, other):
+    out = Matrix.zeros(self.nrows * other.nrows, self.ncols * other.ncols)
+    for i, r in enumerate(self.rows):
+        for k, a in enumerate(r):
+            if a:
+                for i2, r2 in enumerate(other.rows):
+                    tr = out.rows[i * other.nrows + i2]
+                    base = k * other.ncols
+                    for k2, b in enumerate(r2):
+                        if b:
+                            tr[base + k2] = a * b
+    return out
+
+
+def reference_rref(self):
+    m = [row[:] for row in self.rows]
+    pivots = []
+    pr = 0
+    for pc in range(self.ncols):
+        sel = None
+        for i in range(pr, self.nrows):
+            if m[i][pc]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        m[pr], m[sel] = m[sel], m[pr]
+        inv = Q1 / m[pr][pc]
+        m[pr] = [x * inv for x in m[pr]]
+        for i in range(self.nrows):
+            if i != pr and m[i][pc]:
+                f = m[i][pc]
+                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == self.nrows:
+            break
+    return Matrix(m), pivots
+
+
+def reference_nullspace(self):
+    red, pivots = reference_rref(self)
+    pivset = set(pivots)
+    basis = []
+    for j in range(self.ncols):
+        if j in pivset:
+            continue
+        v = [Q0] * self.ncols
+        v[j] = Q1
+        for pr, pc in enumerate(pivots):
+            v[pc] = -red.rows[pr][j]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(self, rhs):
+    aug = Matrix([r + [Fraction(b)] for r, b in zip(self.rows, rhs)])
+    red, pivots = reference_rref(aug)
+    if self.ncols in pivots:
+        return None
+    x = [Q0] * self.ncols
+    for pr, pc in enumerate(pivots):
+        x[pc] = red.rows[pr][self.ncols]
+    return x
+
+
+def reference_rank(rows):
+    return len(reference_rref(Matrix(rows))[1])
+
+
+# Entries as callers leave them in `rows`: the shared Q0, zeros that are
+# other objects (an int 0, a Fraction(0) from arithmetic), ints, and
+# Fractions with mixed denominators.
+raw_entries = st.one_of(
+    st.just(Q0),
+    st.just(0),
+    fracs.map(lambda q: q - q),
+    st.integers(-3, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+@st.composite
+def st_raw_matrix(draw, nrows, ncols):
+    """A matrix with raw entries written into `rows`, some rows and
+    columns entirely zero."""
+    m = Matrix.zeros(nrows, ncols)
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0))))
+    for i, row in enumerate(m.rows):
+        for j in range(ncols):
+            if i not in zero_rows and j not in zero_cols:
+                row[j] = draw(raw_entries)
+    return m
+
+
+dims = st.integers(0, 4)
+
+
+def _all_fractions(entries):
+    return all(type(x) is Fraction for x in entries)
+
+
+@given(dims, dims, dims, st.data())
+def test_matmul_matches_reference(n, k, m, data):
+    A = data.draw(st_raw_matrix(n, k))
+    B = data.draw(st_raw_matrix(k, m))
+    out = A @ B
+    assert out == reference_matmul(A, B)
+    assert (out.nrows, out.ncols) == (n, m)
+    assert _all_fractions(x for r in out.rows for x in r)
+
+
+@given(dims, dims, st.data())
+def test_apply_matches_reference(n, m, data):
+    A = data.draw(st_raw_matrix(n, m))
+    vec = data.draw(st.lists(raw_entries, min_size=m, max_size=m))
+    out = A.apply(vec)
+    assert out == reference_apply(A, vec)
+    assert len(out) == n and _all_fractions(out)
+
+
+@given(dims, dims, dims, dims, st.data())
+def test_kron_matches_reference(n1, m1, n2, m2, data):
+    A = data.draw(st_raw_matrix(n1, m1))
+    B = data.draw(st_raw_matrix(n2, m2))
+    out = A.kron(B)
+    assert out == reference_kron(A, B)
+    assert (out.nrows, out.ncols) == (n1 * n2, m1 * m2)
+    assert _all_fractions(x for r in out.rows for x in r)
+
+
+@given(dims, dims, st.data())
+def test_elimination_matches_reference(n, m, data):
+    A = data.draw(st_raw_matrix(n, m))
+    rhs = data.draw(st.lists(raw_entries, min_size=n, max_size=n))
+    red, pivots = A.rref()
+    ref_red, ref_pivots = reference_rref(A)
+    assert (red.rows, pivots) == (ref_red.rows, ref_pivots)
+    assert (red.nrows, red.ncols) == (n, m)
+    assert A.rank() == len(pivots)
+    assert A.nullspace() == reference_nullspace(A)
+    assert A.solve(rhs) == reference_solve(A, rhs)
+    assert _all_fractions(x for r in red.rows for x in r)
+
+
+def test_shape_mismatches_are_rejected():
+    with pytest.raises(ValueError):
+        Matrix.zeros(2, 3) @ Matrix.zeros(2, 3)
+    with pytest.raises(ValueError):
+        Matrix.zeros(2, 3).apply([Q0, Q0])
+
+
+def test_zero_entries_are_the_shared_zero():
+    """Zeros given to the constructor and zeros of a product, cancelled
+    sums included, are the shared Q0."""
+    A = Matrix([[0, Fraction(0), Fraction(1, 2)], [Fraction(2, 3), 0, 1]])
+    assert A.rows[0][0] is Q0 and A.rows[0][1] is Q0 and A.rows[1][1] is Q0
+    cancel = Matrix([[1, Fraction(1, 2)], [-2, -1]])
+    products = [
+        (cancel @ Matrix([[1, 0], [-2, 1]])).rows,
+        A.kron(Matrix([[0, 1]])).rows,
+        [cancel.apply([1, -2])],
+    ]
+    assert sum(x is Q0 for rows in products for r in rows for x in r) == 2 + 9 + 2
+    assert Matrix([[0, Fraction(0)]]).is_zero() and not A.is_zero()
 
 
 def st_matrix(nrows, ncols):
@@ -70,7 +266,7 @@ def test_sparse_echelon_matches_dense_rank():
         se = SparseEchelon(m)
         for row in rows:
             se.add_row({j: v for j, v in enumerate(row) if v})
-        assert se.rank == Matrix(rows).rank()
+        assert se.rank == reference_rank(rows)
         for v in se.nullspace():
             assert all(x == 0 for x in Matrix(rows).apply(_dense(v, m)))
 
@@ -113,9 +309,9 @@ def test_sparse_echelon_nullspace_equals_dense(case):
     for row in _sparse_rows(rows):
         se.add_row(row)
     dense = Matrix(rows)
-    assert se.rank == dense.rank()
+    assert se.rank == reference_rank(rows)
     kernel = se.nullspace()
-    assert [_dense(v, ncols) for v in kernel] == dense.nullspace()
+    assert [_dense(v, ncols) for v in kernel] == reference_nullspace(dense)
     assert all(list(v) == sorted(v) and all(v.values()) for v in kernel)
 
 
@@ -160,7 +356,7 @@ def test_contains_matches_rank(case, data):
         se.add_row(row)
     target = data.draw(st.lists(fracs, min_size=ncols, max_size=ncols))
     member = se.contains({j: v for j, v in enumerate(target) if v})
-    assert member == (Matrix(rows + [target]).rank() == se.rank)
+    assert member == (reference_rank(rows + [target]) == se.rank)
     assert member == in_span(rows, target)
 
 
