@@ -6,8 +6,8 @@ by identity before its value.  The dense products (`@`, `apply`,
 `kron`) read each operand once into a common denominator and the
 integer numerators of its nonzero entries, multiply and add plain ints,
 and build one `Fraction` per nonzero entry of the result.  The sparse
-`SparseEchelon` keeps its rows integral and primitive and eliminates
-fraction-free; `Fraction`s appear only in the reduced echelon form it
+`SparseEchelon` keeps its rows integral, primitive and fully reduced
+as they arrive; `Fraction`s appear only in the reduced echelon form it
 emits, and `Matrix.rref`, `rank`, `nullspace` and `solve` all eliminate
 through it.  The nullspace basis convention is fixed once and for all:
 reduced row echelon form with pivots chosen left to right, one basis
@@ -18,6 +18,7 @@ deterministic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -209,21 +210,25 @@ class Matrix:
 
 
 class SparseEchelon:
-    """Incremental row-space echelon with sparse integer rows.
+    """Incremental row-space echelon with sparse integer rows, kept in
+    reduced echelon form (fraction-free Gauss-Jordan).
 
-    Feed constraint rows one at a time; `add_row` clears each row's
-    denominators and eliminates fraction-free, so every stored pivot row
-    is a primitive integer row (content 1, positive lead) keyed by its
-    lead column.  `rref()` emits the canonical reduced echelon form, the
-    only place `Fraction`s are built, and `nullspace()` returns, as sparse
-    vectors, the same basis as dense RREF of the stacked rows would (the
-    fully reduced echelon form of a row space is unique, so the result
-    does not depend on insertion order).
+    `add_row` clears a row's denominators, then each pivot column in its
+    support, once: a stored row holds no pivot column but its lead, so
+    nothing cascades.  The remainder's lowest column becomes its lead and
+    is cleared from the stored rows holding it, whose leads lie below it.
+    Every stored row is a primitive integer row (content 1, positive lead
+    at its lowest column) keyed by its lead.  `rref()` scales them to lead
+    1, the only place `Fraction`s are built, and `nullspace()` returns, as
+    sparse vectors, the same basis as dense RREF of the stacked rows would
+    (the reduced echelon form of a row space is unique).
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivot_rows: dict[int, dict[int, int]] = {}
+        # free column -> leads of the rows that may hold it (or held it)
+        self._holders: defaultdict[int, set[int]] = defaultdict(set)
 
     def add_row(self, row: dict[int, Fraction]) -> bool:
         """Reduce a sparse row against the current pivots; returns True if
@@ -235,7 +240,18 @@ class SparseEchelon:
         g = gcd(*row.values())
         if row[lead] < 0:
             g = -g
-        self.pivot_rows[lead] = {j: v // g for j, v in row.items()} if g != 1 else row
+        row = {j: v // g for j, v in row.items()} if g != 1 else row
+        rows, holders = self.pivot_rows, self._holders
+        others = [holders[j] for j in row if j != lead]
+        for lead2 in holders.pop(lead, ()):
+            row2 = rows[lead2]
+            if lead in row2:
+                _eliminate(row2, row, lead)
+                for held in others:
+                    held.add(lead2)
+        for held in others:
+            held.add(lead)
+        rows[lead] = row
         return True
 
     def contains(self, row: dict[int, Fraction]) -> bool:
@@ -244,42 +260,21 @@ class SparseEchelon:
         return not self._reduce(_integral(row))
 
     def _reduce(self, row: dict[int, int]) -> dict[int, int]:
-        """Eliminate leads that are pivots until the lead is free; returns
-        the remainder (empty if the row lies in the span)."""
+        """Clear every pivot column of an integer row in place, one pivot
+        row each; returns the remainder (empty if the row lies in the
+        span)."""
         pivots = self.pivot_rows
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                return row
-            _eliminate(row, piv, lead)
+        for lead in row.keys() & pivots.keys():
+            _eliminate(row, pivots[lead], lead)
         return row
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def _back_reduce(self):
-        """Clear every pivot column from the other pivot rows, in place.
-        Pivots are taken from the last lead down, so a pivot row has lost
-        its later pivot columns before it is used, and its fill lands on
-        free columns only: which rows hold each pivot column is known from
-        one index built up front."""
-        rows = self.pivot_rows
-        holders: dict[int, list[int]] = {lead: [] for lead in rows}
-        for lead, row in rows.items():
-            for j in row:
-                if j != lead and j in holders:
-                    holders[j].append(lead)
-        for lead in sorted(rows, reverse=True):
-            piv = rows[lead]
-            for lead2 in holders[lead]:
-                _eliminate(rows[lead2], piv, lead)
-
     def rref(self) -> dict[int, dict[int, Fraction]]:
         """The canonical reduced row echelon form: lead column -> row
         scaled to lead 1, in increasing lead order."""
-        self._back_reduce()
         out = {}
         for lead in sorted(self.pivot_rows):
             row = self.pivot_rows[lead]

@@ -167,3 +167,23 @@ def test_dualnum_elimination_work_does_not_grow(case, monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counted)
     solve_D(B, (order,), 0)
     assert len(calls) <= ELIMINATIONS[case]
+
+
+@pytest.mark.parametrize("kind", ["std", "conj"])
+@pytest.mark.parametrize("name", sorted(CHANGE_OF_BASIS))
+def test_grade0_finest_space_is_a_tensor_power(name, kind):
+    """Each slot's constraints act on that slot's legs only, so at grade
+    0 D_(1,...,1) is the n-fold tensor power of D_(1): the value
+    `surjectivity_probe` takes for its symbol space."""
+    B = target(name) if kind == "conj" else GradedTarget(STANDARD_ALGEBRAS[name]())
+    ders = len(solve_D(B, (1,), 0))
+    for n in (1, 2):
+        assert len(solve_D(B, (1,) * n, 0)) == ders**n
+
+
+def test_dense_m2_conjugate_order2_grade1():
+    """A dense system that reduces through thousands of redundant rows;
+    its dimension is isomorphism-invariant, 84 as on the standard basis."""
+    ops = solve_D(target("m2"), (2,), 1)
+    assert len(ops) == 84
+    assert check_leibniz(ops[0]) and check_leibniz(ops[-1])

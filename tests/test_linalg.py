@@ -8,7 +8,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from planarprop.linalg import Q0, Q1, Matrix, SparseEchelon, in_span, span_rank
+from planarprop.linalg import Q0, Q1, Matrix, SparseEchelon, _eliminate, _integral, in_span, span_rank
+from planarprop.operators import leibniz_rows, vector_layout
+from test_leibniz import target
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -108,6 +110,89 @@ def reference_solve(self, rhs):
 
 def reference_rank(rows):
     return len(reference_rref(Matrix(rows))[1])
+
+
+class ReferenceEchelon:
+    """An echelon that reduces each row lead by lead until its lead is
+    free, through pivot rows that are not reduced, and back-reduces the
+    pivot rows once, in `rref()`: the oracle for `SparseEchelon`, which
+    keeps its rows reduced as they arrive."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivot_rows: dict[int, dict[int, int]] = {}
+
+    def add_row(self, row: dict[int, Fraction]) -> bool:
+        """Reduce a sparse row against the current pivots; returns True if
+        it contributed a new pivot."""
+        row = self._reduce(_integral(row))
+        if not row:
+            return False
+        lead = min(row)
+        g = math.gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        self.pivot_rows[lead] = {j: v // g for j, v in row.items()} if g != 1 else row
+        return True
+
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """Eliminate leads that are pivots until the lead is free; returns
+        the remainder (empty if the row lies in the span)."""
+        pivots = self.pivot_rows
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                return row
+            _eliminate(row, piv, lead)
+        return row
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def _back_reduce(self):
+        """Clear every pivot column from the other pivot rows, in place.
+        Pivots are taken from the last lead down, so a pivot row has lost
+        its later pivot columns before it is used, and its fill lands on
+        free columns only: which rows hold each pivot column is known from
+        one index built up front."""
+        rows = self.pivot_rows
+        holders: dict[int, list[int]] = {lead: [] for lead in rows}
+        for lead, row in rows.items():
+            for j in row:
+                if j != lead and j in holders:
+                    holders[j].append(lead)
+        for lead in sorted(rows, reverse=True):
+            piv = rows[lead]
+            for lead2 in holders[lead]:
+                _eliminate(rows[lead2], piv, lead)
+
+    def rref(self) -> dict[int, dict[int, Fraction]]:
+        """The canonical reduced row echelon form: lead column -> row
+        scaled to lead 1, in increasing lead order."""
+        self._back_reduce()
+        out = {}
+        for lead in sorted(self.pivot_rows):
+            row = self.pivot_rows[lead]
+            p = row[lead]
+            out[lead] = {j: Fraction(v, p) for j, v in row.items()}
+        return out
+
+    def nullspace(self) -> list[dict[int, Fraction]]:
+        """One sparse kernel vector (index -> nonzero entry, in increasing
+        index order) per free column, free columns in increasing order:
+        the free column j carries 1, and each pivot column the negated
+        entry at j of its RREF row."""
+        rref = self.rref()
+        basis: dict[int, dict[int, Fraction]] = {j: {} for j in range(self.ncols) if j not in rref}
+        for pc, prow in rref.items():
+            for j, c in prow.items():
+                if j != pc:
+                    basis[j][pc] = -c
+        for j, v in basis.items():
+            v[j] = Q1
+        return list(basis.values())
 
 
 # Entries as callers leave them in `rows`: the shared Q0, zeros that are
@@ -336,16 +421,58 @@ def test_integer_rows_are_neither_kept_nor_changed(case):
     assert se.rref() == rational.rref()
 
 
+def assert_reduced(se):
+    """Every stored row is primitive and integral, its lead is its lowest
+    column and positive, and it holds no other pivot column."""
+    rows = se.pivot_rows
+    for lead, row in rows.items():
+        assert lead == min(row) and row[lead] > 0
+        assert all(type(v) is int for v in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert rows.keys() & row.keys() == {lead}
+
+
 @given(st_rows_with_repeats())
 def test_sparse_echelon_rows_are_primitive_integers(case):
+    """The stored rows are the reduced echelon form after every row."""
     ncols, rows = case
     se = SparseEchelon(ncols)
     for row in _sparse_rows(rows):
         se.add_row(row)
-    for lead, row in se.pivot_rows.items():
-        assert lead == min(row) and row[lead] > 0
-        assert all(type(v) is int for v in row.values())
-        assert math.gcd(*row.values()) == 1
+        assert_reduced(se)
+
+
+def assert_matches_reference(ncols, rows):
+    """The same pivots row by row, the reduced form kept after every new
+    pivot, and the same RREF and kernel as the reference."""
+    se, ref = SparseEchelon(ncols), ReferenceEchelon(ncols)
+    for row in rows:
+        new = se.add_row(row)
+        assert new == ref.add_row(row)
+        if new:
+            assert_reduced(se)
+    assert se.rref() == ref.rref()
+    assert se.nullspace() == ref.nullspace()
+
+
+@given(st_rows_with_repeats())
+def test_sparse_echelon_matches_reference_echelon(case):
+    ncols, rows = case
+    assert_matches_reference(ncols, _sparse_rows(rows))
+
+
+@given(dims, dims, st.data())
+def test_sparse_echelon_matches_reference_echelon_on_raw_rows(n, m, data):
+    A = data.draw(st_raw_matrix(n, m))
+    assert_matches_reference(m, _sparse_rows(A.rows))
+
+
+@pytest.mark.parametrize("case", [("m2", (1,), 1), ("dualnum", (3,), 0), ("k2", (3,), 0)], ids=str)
+def test_sparse_echelon_matches_reference_on_dense_conjugate(case):
+    """The Leibniz rows of a dense conjugate, nearly all redundant."""
+    name, shape, grade = case
+    B = target(name)
+    assert_matches_reference(vector_layout(B, shape, grade)["total"], leibniz_rows(B, shape, grade))
 
 
 @given(st_rows_with_repeats(), st.data())
