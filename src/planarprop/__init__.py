@@ -39,6 +39,7 @@ from .operators import (
     check_mP,
     compose_D,
     degeneracy,
+    dim_D,
     extend_degenerate,
     h_compose,
     is_totally_positive,

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed invariant, 2 input validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import random
@@ -25,6 +26,7 @@ from .operators import (
     check_leibniz,
     check_mP,
     compose_D,
+    dim_D,
     h_compose,
     solve_D,
     solve_Dn,
@@ -107,15 +109,13 @@ def _shape(args) -> tuple[int, ...]:
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise CliError(f"cannot write report: {e}")
-    else:
-        sys.stdout.write(text)
+    """Stream the report as indented JSON to the --out file or stdout."""
+    try:
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            json.dump(report, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as e:
+        raise CliError(f"cannot write report: {e}")
 
 
 def _header(args, algebra_hash: str | None = None) -> dict:
@@ -128,9 +128,9 @@ def _header(args, algebra_hash: str | None = None) -> dict:
 def cmd_dims(args) -> int:
     A, digest = _load_algebra(args.algebra)
     shape = _shape(args)
-    basis = solve_D(GradedTarget(A), shape, args.grade)
+    dim = dim_D(GradedTarget(A), shape, args.grade)
     report = _header(args, digest)
-    report["dims"] = [{"shape": list(shape), "grade": args.grade, "dim": len(basis)}]
+    report["dims"] = [{"shape": list(shape), "grade": args.grade, "dim": dim}]
     _emit(report, args)
     return 0
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebras import GradedTarget
-from .linalg import Matrix, Q0, SparseEchelon, _exact, span_echelon, span_rank
+from .linalg import Matrix, Q0, SparseEchelon, _exact
 from .ordinals import MonotoneMap, all_epis, compose, merge
 from .partitions import (
     OrderedPartition,
@@ -225,7 +225,7 @@ class DiffOperator:
                     {
                         "refinement": list(kappa),
                         "grades": list(g),
-                        "matrix": [[str(x) for x in row] for row in m.rows],
+                        "matrix": [[str(x) if x else "0" for x in row] for row in m.rows],
                     }
                 )
         return {
@@ -468,22 +468,33 @@ def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
                                     yield eq
 
 
+def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEchelon]:
+    """The layout of a shape's operators at a total grade and the echelon
+    of their Leibniz system, which only this function eliminates.  A shape
+    with no positive slot has one 1x1 block at grade 0, none above, no rows."""
+    layout = vector_layout(B, shape, grade)
+    ech = SparseEchelon(layout["total"])
+    for row in leibniz_rows(B, _positive(tuple(shape)), grade):
+        ech.add_row(row)
+    return layout, ech
+
+
+def dim_D(B: GradedTarget, shape: tuple[int, ...], grade: int = 0) -> int:
+    """Dimension of the space of operators of the given shape and total
+    grade: unknowns minus the rank of the Leibniz system, no basis built."""
+    layout, ech = _leibniz_echelon(B, shape, grade)
+    return layout["total"] - ech.rank
+
+
 def solve_D(B: GradedTarget, shape: tuple[int, ...], grade: int = 0) -> list[DiffOperator]:
     """Deterministic basis of the space of operators of the given shape
     and total grade: the exact nullspace of the Leibniz system over all
     refinements and slots, unpacked into operators.  Refinements are
     ordered by (size, parts), grade vectors lexicographically, matrix
-    entries row-major."""
+    entries row-major.  A shape with no positive slot gives its unit
+    operator (`one_operator` for shape ()) at grade 0, nothing above."""
     shape = tuple(shape)
-    core = _positive(shape)
-    if core == ():
-        return [unit_operator(B, len(shape))] if grade == 0 and shape else (
-            [one_operator(B)] if grade == 0 else []
-        )
-    layout = vector_layout(B, core, grade)
-    ech = SparseEchelon(layout["total"])
-    for row in leibniz_rows(B, core, grade):
-        ech.add_row(row)
+    layout, ech = _leibniz_echelon(B, shape, grade)
     # each kernel entry lands in the block whose offset is the last one
     # at or below its index
     blocks = list(layout["blocks"].items())
@@ -503,23 +514,20 @@ def solve_D(B: GradedTarget, shape: tuple[int, ...], grade: int = 0) -> list[Dif
 
 
 def solve_Dn(B: GradedTarget, n: int, grade: int = 0) -> list[DiffOperator]:
-    if n == 0:
-        return [one_operator(B)] if grade == 0 else []
-    return solve_D(B, (n,), grade)
+    return solve_D(B, (n,) if n else (), grade)
 
 
 def check_leibniz(P: DiffOperator) -> bool:
     """The defining invariant: every row of the Leibniz system vanishes on
     the operator's coordinates.  False when a block lies outside the
     layout of the shape and grade."""
-    layout = vector_layout(P.B, P.shape, P.grade)
-    if any((kappa, g) not in layout["blocks"] for kappa, blocks in P.components.items() for g in blocks):
+    vec = op_vector(P, vector_layout(P.B, P.shape, P.grade))
+    if vec is None:
         return False
-    vec = op_vector(P, layout)
-    den = lcm(*(x.denominator for x in vec))
-    vec = [x.numerator * (den // x.denominator) for x in vec]
+    den = lcm(*(x.denominator for x in vec.values()))
+    vec = {j: x.numerator * (den // x.denominator) for j, x in vec.items()}
     return not any(
-        sum(v * vec[j] for j, v in row.items()) for row in leibniz_rows(P.B, P.core, P.grade)
+        sum(v * vec[j] for j, v in row.items() if j in vec) for row in leibniz_rows(P.B, P.core, P.grade)
     )
 
 
@@ -835,17 +843,17 @@ def symbol(P: DiffOperator) -> DiffOperator:
     return DiffOperator(P.B, fin, P.grade, {fin: dict(blocks)} if blocks else {})
 
 
-def op_vector(P: DiffOperator, layout) -> list[Fraction]:
-    """Flatten an operator to coordinates in a fixed layout (as produced
-    by `vector_layout`)."""
-    total = layout["total"]
-    vec = [Q0] * total
-    for (kappa, g), (off, nr, nc) in layout["blocks"].items():
-        M = P.block(kappa, g)
-        if M is not None:
-            for r in range(nr):
-                for c in range(nc):
-                    vec[off + r * nc + c] = M.rows[r][c]
+def op_vector(P: DiffOperator, layout) -> dict[int, Fraction] | None:
+    """The nonzero coordinates (index -> entry) of an operator in a fixed
+    layout, as produced by `vector_layout`; None when one of its blocks
+    lies outside the layout."""
+    vec = {}
+    for kappa, blocks in P.components.items():
+        for g, M in blocks.items():
+            if (kappa, g) not in layout["blocks"]:
+                return None
+            off, _, nc = layout["blocks"][(kappa, g)]
+            vec.update((off + r * nc + c, x) for r, row in enumerate(M.rows) for c, x in enumerate(row) if x)
     return vec
 
 
@@ -864,47 +872,36 @@ def vector_layout(B: GradedTarget, shape, grade) -> dict:
 
 
 def symbol_exactness(B: GradedTarget, n: int, grade: int = 0) -> dict:
-    """The short-exact-sequence check at a single-slot shape: computes the
-    order-n space, the finest-shape space, the symbol ranks, and whether
-    the symbol's kernel is exactly the span of degeneracy images of the
-    order n-1 space."""
+    """The short-exact-sequence check at a single-slot shape: dim D_n, the
+    finest-shape dimension, the symbol's rank on D_n, and whether its
+    kernel K is the span of the degeneracy images of D_(n-1).  It is when
+    every image has zero symbol and lies in D_n (so the images span a
+    subspace of K) and the images have rank dim K."""
+    fin = (1,) * n
+    layout, fine_layout = vector_layout(B, (n,), grade), vector_layout(B, fin, grade)
     basis_n = solve_Dn(B, n, grade)
-    basis_fine = solve_D(B, (1,) * n, grade)
-    fine_layout = vector_layout(B, (1,) * n, grade)
-    sym_vecs = [op_vector(symbol(P), fine_layout) for P in basis_n]
-    sym_rank = span_rank(sym_vecs)
-    fine_dim = len(basis_fine)
-    surjective = sym_rank == fine_dim
-
-    full_layout = vector_layout(B, (n,), grade)
-    basis_lower = solve_Dn(B, n - 1, grade) if n >= 1 else []
-    deg_vecs = []
+    span_n = SparseEchelon(layout["total"])
+    sym = SparseEchelon(fine_layout["total"])
+    for P in basis_n:
+        span_n.add_row(op_vector(P, layout))
+        sym.add_row(op_vector(symbol(P), fine_layout))
+    deg = SparseEchelon(layout["total"])
+    in_kernel = True
+    lower = solve_Dn(B, n - 1, grade)
     for sigma in all_epis(n, n - 1):
-        for Q in basis_lower:
-            deg_vecs.append(op_vector(degeneracy(sigma, Q), full_layout))
-    deg = span_echelon(deg_vecs, full_layout["total"])
-    deg_rank = deg.rank
-    kernel_dim = len(basis_n) - sym_rank
-    # membership: every combination of basis_n with zero symbol lies in
-    # the degeneracy span
-    ker_ok = True
-    sym_matrix = Matrix.from_cols(sym_vecs, nrows=fine_layout["total"]) if basis_n else Matrix.zeros(0, 0)
-    ker_coeffs = sym_matrix.nullspace() if basis_n else []
-    for coeffs in ker_coeffs:
-        vec = [Q0] * full_layout["total"]
-        for c, P in zip(coeffs, basis_n):
-            if c:
-                pv = op_vector(P, full_layout)
-                vec = [x + c * y for x, y in zip(vec, pv)]
-        if not deg.contains({j: x for j, x in enumerate(vec) if x}):
-            ker_ok = False
-            break
+        for Q in lower:
+            D = degeneracy(sigma, Q)
+            image = op_vector(D, layout)
+            deg.add_row(image)
+            in_kernel = in_kernel and fin not in D.components and span_n.contains(image)
+    kernel_dim = len(basis_n) - sym.rank
+    dim_finest = dim_D(B, fin, grade)
     return {
         "dim_Dn": len(basis_n),
-        "dim_finest": fine_dim,
-        "symbol_rank": sym_rank,
-        "surjective": surjective,
-        "degeneracy_rank": deg_rank,
+        "dim_finest": dim_finest,
+        "symbol_rank": sym.rank,
+        "surjective": sym.rank == dim_finest,
+        "degeneracy_rank": deg.rank,
         "kernel_dim": kernel_dim,
-        "kernel_equals_degeneracy_image": ker_ok and deg_rank == kernel_dim,
+        "kernel_equals_degeneracy_image": in_kernel and deg.rank == kernel_dim,
     }

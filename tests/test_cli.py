@@ -102,6 +102,25 @@ def test_solve_and_compose_round_trip(tmp_path):
     assert report["result"]["shape"] == [2, 2]
 
 
+@pytest.mark.parametrize("algebra", ["dualnum", "k2", "m2"])
+def test_dims_of_a_zero_slot(algebra, capsys):
+    from planarprop.cli import main
+
+    for grade, dim in ((0, 1), (1, 0)):
+        assert main(["dims", "--algebra", algebra, "--shape", "0", "--grade", str(grade)]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"][0]["dim"] == dim
+
+
+def test_solve_report_on_stdout_is_the_out_file(tmp_path, capsys):
+    from planarprop.cli import main
+
+    argv = ["solve", "--algebra", "m2", "--order", "2"]
+    out = tmp_path / "report.json"
+    assert main(argv) == 0
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_symbol_report():
     r = run_cli("symbol", "--algebra", "m2", "--order", "2")
     assert r.returncode == 0

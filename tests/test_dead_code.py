@@ -1,9 +1,9 @@
 """Dead-code guard over the package source, read with the standard
 library's `ast`: every module-level private function is referenced
 somewhere in the package, every name a module other than `__init__`
-imports is used in that module, and every public method of the exact
-matrix classes is read somewhere in the package, the benchmark or the
-tests."""
+imports is used in that module, and every public module-level function
+and every public method of the exact matrix classes is read somewhere in
+the package, the benchmark or the tests."""
 
 import ast
 import pathlib
@@ -13,6 +13,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "planarprop"
 TREES = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+EVERYWHERE = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "tests").glob("*.py")]
 
 
 def _read_names(tree) -> set[str]:
@@ -38,10 +39,25 @@ def test_every_private_function_is_referenced():
     assert not unreferenced, f"private functions nothing in src references: {unreferenced}"
 
 
+def _read_everywhere() -> set[str]:
+    """The names read in the package, the benchmark and the tests."""
+    return set().union(*(_read_names(ast.parse(p.read_text(), str(p))) for p in EVERYWHERE))
+
+
+def test_every_public_function_is_read():
+    read = _read_everywhere()
+    unread = [
+        f"{module}.{node.name}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read
+    ]
+    assert not unread, f"public functions nothing in src, bench or tests reads: {unread}"
+
+
 @pytest.mark.parametrize("cls", ["Matrix", "SparseEchelon"])
 def test_every_public_linalg_method_is_read(cls):
-    files = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    read = set().union(*(_read_names(ast.parse(p.read_text(), str(p))) for p in files))
+    read = _read_everywhere()
     body = next(n for n in TREES["linalg"].body if isinstance(n, ast.ClassDef) and n.name == cls).body
     unread = [
         node.name for node in body

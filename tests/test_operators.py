@@ -1,6 +1,7 @@
 """Multi-differential operators: solvers, compositions, degeneracies,
 symbols."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from planarprop.operators import (
     check_mP,
     compose_D,
     degeneracy,
+    dim_D,
     extend_degenerate,
     h_compose,
     is_totally_positive,
@@ -30,6 +32,7 @@ from planarprop.operators import (
     v_compose,
 )
 from planarprop.ordinals import MonotoneMap, all_epis, compose
+from planarprop.partitions import compositions
 
 
 def derivation_dim_oracle(A) -> int:
@@ -344,20 +347,76 @@ class TestDegeneracy:
                     assert symbol(degeneracy(sigma, P)).is_zero()
 
 
-class TestSymbolExactness:
-    def test_m2_order_two(self, targets):
-        res = symbol_exactness(targets["m2"], 2, 0)
-        assert res["dim_Dn"] == 12
-        assert res["dim_finest"] == 9
-        assert res["symbol_rank"] == 9
-        assert res["surjective"]
-        assert res["degeneracy_rank"] == 3
-        assert res["kernel_dim"] == 3
-        assert res["kernel_equals_degeneracy_image"]
+SYMBOL_KEYS = (
+    "dim_Dn", "dim_finest", "symbol_rank", "surjective", "degeneracy_rank", "kernel_dim",
+    "kernel_equals_degeneracy_image",
+)
+# symbol_exactness per (algebra, n, grade), recorded when the kernel of the
+# symbol was still taken as a dense nullspace and tested vector by vector
+# against the degeneracy span.
+SYMBOL_TABLE = {
+    ("dualnum", 1, 0): (1, 1, 1, True, 0, 0, True),
+    ("dualnum", 2, 0): (2, 1, 1, True, 1, 1, True),
+    ("dualnum", 3, 0): (4, 1, 1, True, 3, 3, True),
+    ("dualnum", 1, 1): (2, 2, 2, True, 0, 0, True),
+    ("dualnum", 2, 1): (6, 4, 4, True, 2, 2, True),
+    ("k2", 1, 0): (0, 0, 0, True, 0, 0, True),
+    ("k2", 2, 0): (0, 0, 0, True, 0, 0, True),
+    ("k2", 3, 0): (0, 0, 0, True, 0, 0, True),
+    ("k2", 1, 1): (2, 2, 2, True, 0, 0, True),
+    ("k2", 2, 1): (2, 0, 0, True, 2, 2, True),
+    ("m2", 1, 0): (3, 3, 3, True, 0, 0, True),
+    ("m2", 2, 0): (12, 9, 9, True, 3, 3, True),
+    ("m2", 3, 0): (48, 27, 27, True, 21, 21, True),
+    ("m2", 1, 1): (12, 12, 12, True, 0, 0, True),
+    ("m2", 2, 1): (84, 72, 72, True, 12, 12, True),
+}
 
-    def test_dual_numbers_order_two(self, targets):
-        res = symbol_exactness(targets["dualnum"], 2, 0)
-        assert res["kernel_equals_degeneracy_image"]
+
+class TestSymbolExactness:
+    @pytest.mark.parametrize("case", sorted(SYMBOL_TABLE), ids=str)
+    def test_matches_the_recorded_table(self, targets, case):
+        name, n, grade = case
+        res = symbol_exactness(targets[name], n, grade)
+        assert tuple(res[k] for k in SYMBOL_KEYS) == SYMBOL_TABLE[case]
+
+
+@pytest.mark.parametrize("name", ["dualnum", "k2", "m2"])
+def test_order_zero_spaces_are_the_units(targets, name):
+    B = targets[name]
+    assert solve_D(B, ()) == solve_Dn(B, 0, 0) == [one_operator(B)]
+    for q in (1, 2):
+        assert solve_D(B, (0,) * q) == [unit_operator(B, q)]
+    for grade in (1, 2):
+        assert solve_D(B, (), grade) == solve_D(B, (0,), grade) == solve_D(B, (0, 0), grade) == []
+        assert solve_Dn(B, 0, grade) == []
+
+
+def _slot_dim(B, n: int, grade: int) -> int:
+    return dim_D(B, (n,), grade) if n else int(grade == 0)
+
+
+PRODUCT_SHAPES = [(1, 1), (2, 1), (1, 2), (1, 0, 2), (2, 0), (1, 1, 1), (0, 1)]
+PRODUCT_CASES = [
+    (name, shape, grade)
+    for name in ("dualnum", "k2", "m2")
+    for shape in PRODUCT_SHAPES
+    for grade in (0, 1)
+    if name != "m2" or grade == 0 or sum(shape) <= 2
+]
+
+
+@pytest.mark.parametrize("case", PRODUCT_CASES, ids=str)
+def test_dimension_is_the_sum_of_slotwise_products(targets, case):
+    """dim D_lambda(g) = sum over g_1 + ... + g_k = g of the products of
+    dim D_(lambda_i)(g_i), with dim D_(0)(h) = [h = 0]: each slot's Leibniz
+    rows act on its own legs and keep its share of the grade."""
+    name, shape, grade = case
+    B = targets[name]
+    expected = sum(
+        math.prod(_slot_dim(B, n, h) for n, h in zip(shape, split)) for split in compositions(grade, len(shape))
+    )
+    assert dim_D(B, shape, grade) == expected
 
 
 class TestExtendDegenerate:
