@@ -17,24 +17,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Q0, Q1, SparseEchelon, _exact
+from .linalg import Matrix, Q0, Q1, SparseEchelon, _exact, format_rationals, parse_rationals
 
 
 class AlgebraError(ValueError):
     pass
-
-
-def _entries(obj, shape: tuple[int, ...], what: str):
-    """A nested list of the given shape from a spec file, as nested tuples
-    of Fractions; raises AlgebraError(what) when it is misshapen."""
-    if not shape:
-        try:
-            return Fraction(obj)
-        except (TypeError, ValueError):
-            raise AlgebraError(f"{what}, got the entry {obj!r}")
-    if not isinstance(obj, list) or len(obj) != shape[0]:
-        raise AlgebraError(what)
-    return tuple(_entries(x, shape[1:], what) for x in obj)
 
 
 @dataclass(frozen=True)
@@ -100,8 +87,8 @@ class FinAlgebra:
         return {
             "dim": self.dim,
             "basis": list(self.basis_names),
-            "unit": [str(x) for x in self.unit],
-            "mult": [[[str(c) for c in row] for row in plane] for plane in self.mult],
+            "unit": format_rationals([self.unit])[0],
+            "mult": [format_rationals(plane) for plane in self.mult],
         }
 
     @classmethod
@@ -109,10 +96,10 @@ class FinAlgebra:
         if not isinstance(obj, dict):
             raise AlgebraError("an algebra spec must be a JSON object")
         dim = obj["dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise AlgebraError(f"dim must be a positive integer, got {dim!r}")
-        mult = _entries(obj["mult"], (dim, dim, dim), f"mult must be a {dim}x{dim}x{dim} array of rationals")
-        unit = _entries(obj["unit"], (dim,), f"unit must be a list of {dim} rationals")
+        mult = parse_rationals(obj["mult"], (dim, dim, dim), f"mult must be a {dim}x{dim}x{dim} array of rationals")
+        unit = parse_rationals(obj["unit"], (dim,), f"unit must be a list of {dim} rationals")
         basis = obj.get("basis", ())
         if basis and (not isinstance(basis, list) or len(basis) != dim):
             raise AlgebraError(f"basis must list {dim} names")

@@ -223,6 +223,8 @@ def cmd_graph(args) -> int:
         ]
         _emit(report, args)
         return 1
+    except GraphError as e:
+        raise CliError(f"cannot embed graph: {e}")
     report["planar"] = True
     report["order"] = order
     report["genus"] = G.genus()
@@ -288,11 +290,11 @@ def cmd_verify(args) -> int:
     basis1 = solve_Dn(B, 1, 0)
     record("derivations_satisfy_leibniz", all(check_leibniz(P) for P in basis1))
     max_n = 2 if A.dim > 2 else 3
-    for n in range(2, max_n + 1):
-        basis = solve_Dn(B, n, 0)
+    bases = {n: solve_Dn(B, n, 0) for n in range(2, max_n + 1)}
+    for n, basis in bases.items():
         record(f"order_{n}_leibniz", all(check_leibniz(P) for P in basis))
         record(f"order_{n}_collapse", all(check_mP(P, 2) for P in basis))
-    pool = basis1 + solve_Dn(B, 2, 0)
+    pool = basis1 + bases[2]
     ok_c = True
     for _ in range(10):
         if len(pool) < 1:

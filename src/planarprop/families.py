@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 
 from .algebras import FinAlgebra, GradedTarget
-from .linalg import Matrix, span_rank
+from .linalg import Matrix, format_rationals, span_rank
 from .operators import DiffOperator, solve_Dn, symbol, unit_operator
 from .ordinals import MonotoneMap
 from .partitions import compositions
@@ -70,18 +70,10 @@ class AutFamily:
             "alphabet": self.n_letters,
             "truncation": self.N,
             "maps": [
-                {"word": list(w), "matrix": [[str(x) for x in row] for row in m.rows]}
+                {"word": list(w), "matrix": format_rationals(m.rows)}
                 for w, m in sorted(self.maps.items(), key=lambda t: (len(t[0]), t[0]))
             ],
         }
-
-    @classmethod
-    def from_json(cls, B: GradedTarget, obj: dict) -> "AutFamily":
-        maps = {
-            tuple(e["word"]): Matrix([[Fraction(x) for x in row] for row in e["matrix"]])
-            for e in obj["maps"]
-        }
-        return cls(B, obj["alphabet"], obj["truncation"], maps)
 
 
 def identity_family(B: GradedTarget, n_letters: int, N: int = 3) -> AutFamily:

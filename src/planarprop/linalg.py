@@ -13,7 +13,8 @@ through it.  The nullspace basis convention is fixed once and for all:
 reduced row echelon form with pivots chosen left to right, one basis
 vector per free column, free columns taken in increasing index order.
 Every caller that freezes expected values relies on this being
-deterministic.
+deterministic.  `parse_rationals` and `format_rationals` are the one
+reader and the one writer of rationals as JSON text.
 """
 
 from __future__ import annotations
@@ -32,6 +33,28 @@ def _frac(x) -> Fraction:
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return x if x else Q0
+
+
+def parse_rationals(obj, shape: tuple[int, ...], what: str):
+    """A nested list of the given shape, as JSON holds it, as nested tuples
+    of Fractions; its entries are numbers or strings such as "-1/2".
+    Raises ValueError(what) when it is misshapen or an entry is a boolean
+    or not a finite rational."""
+    if not shape:
+        if type(obj) is not bool:
+            try:
+                return _frac(obj)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                pass
+        raise ValueError(f"{what}, got the entry {obj!r}")
+    if not isinstance(obj, list) or len(obj) != shape[0]:
+        raise ValueError(what)
+    return tuple(parse_rationals(x, shape[1:], what) for x in obj)
+
+
+def format_rationals(rows) -> list[list[str]]:
+    """Rows of rationals as JSON text, every zero as "0"."""
+    return [[str(x) if x else "0" for x in row] for row in rows]
 
 
 def _exact(x: Fraction):

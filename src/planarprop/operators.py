@@ -27,13 +27,13 @@ ever applied to the stored matrices when retagging.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .algebras import GradedTarget
-from .linalg import Matrix, Q0, SparseEchelon, _exact
+from .linalg import Matrix, Q0, SparseEchelon, _exact, _integral, format_rationals, parse_rationals
 from .ordinals import MonotoneMap, all_epis, compose, merge
 from .partitions import (
     OrderedPartition,
@@ -52,17 +52,6 @@ class OperatorError(ValueError):
 def _naturals(v) -> bool:
     """A list of non-negative ints, as JSON reads them (no bools or floats)."""
     return isinstance(v, list) and all(type(x) is int and x >= 0 for x in v)
-
-
-def _rational_matrix(rows) -> Matrix:
-    """A block matrix as JSON holds it: a list of equally long lists of
-    rationals (numbers or strings such as "-1/2")."""
-    if isinstance(rows, list) and all(isinstance(r, list) for r in rows):
-        try:
-            return Matrix([[Fraction(x) for x in r] for r in rows])
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            pass
-    raise OperatorError(f"block matrix {rows!r} is not a list of rows of rationals")
 
 
 def _positive(t) -> tuple[int, ...]:
@@ -225,7 +214,7 @@ class DiffOperator:
                     {
                         "refinement": list(kappa),
                         "grades": list(g),
-                        "matrix": [[str(x) if x else "0" for x in row] for row in m.rows],
+                        "matrix": format_rationals(m.rows),
                     }
                 )
         return {
@@ -242,10 +231,10 @@ class DiffOperator:
         integers, the grade not a non-negative integer, or the type not a
         list of positive integers summing to the slot count; and when a
         block's refinement or grades are not lists of non-negative
-        integers, its matrix not a list of rows of rationals, its
-        refinement does not refine the positive core of the shape, its
-        grade vector does not fit its refinement or the grade, or its size
-        does not fit the algebra."""
+        integers, its refinement does not refine the positive core of the
+        shape, its grade vector does not fit its refinement or the grade,
+        or its matrix is not a list of rows of rationals of the size
+        `vector_layout` gives that block."""
         a = B.A.dim
         if not isinstance(obj, dict):
             raise OperatorError(f"an operator is a JSON object, got {type(obj).__name__}")
@@ -258,6 +247,7 @@ class DiffOperator:
             raise OperatorError(f"type {pi!r} is not a list of positive integers summing to {len(shape)}")
         shape = tuple(shape)
         refinements = _core_refinements(_positive(shape))
+        layout = vector_layout(B, shape, grade)["blocks"]
         comps: dict = {}
         blocks = obj["components"]
         if not (isinstance(blocks, list) and all(isinstance(c, dict) for c in blocks)):
@@ -268,18 +258,19 @@ class DiffOperator:
                     raise OperatorError(f"block {field} {c[field]!r} is not a list of non-negative integers")
             kappa = tuple(c["refinement"])
             g = tuple(c["grades"])
-            M = _rational_matrix(c["matrix"])
             if kappa not in refinements:
                 raise OperatorError(f"block {list(kappa)} does not refine the shape {list(shape)}")
-            if len(g) != len(kappa) or sum(g) != grade:
+            if (kappa, g) not in layout:
                 raise OperatorError(f"block {list(kappa)} has grades {list(g)}, which do not fit grade {grade}")
-            size = (a ** (grade + len(kappa)), a ** len(kappa))
-            if (M.nrows, M.ncols) != size:
-                raise OperatorError(
-                    f"block {list(kappa)} is {M.nrows}x{M.ncols}, expected {size[0]}x{size[1]}"
-                    f" over an algebra of dimension {a}"
-                )
-            comps.setdefault(kappa, {})[g] = M
+            _, nr, nc = layout[(kappa, g)]
+            what = (
+                f"is not a list of rows of rationals, expected {nr}x{nc}"
+                f" for block {list(kappa)} over an algebra of dimension {a}"
+            )
+            try:
+                comps.setdefault(kappa, {})[g] = Matrix(parse_rationals(c["matrix"], (nr, nc), what))
+            except ValueError as e:
+                raise OperatorError(f"block matrix {reprlib.repr(c['matrix'])} {e}") from None
         return cls(B, shape, grade, comps, tuple(pi))
 
 
@@ -524,8 +515,7 @@ def check_leibniz(P: DiffOperator) -> bool:
     vec = op_vector(P, vector_layout(P.B, P.shape, P.grade))
     if vec is None:
         return False
-    den = lcm(*(x.denominator for x in vec.values()))
-    vec = {j: x.numerator * (den // x.denominator) for j, x in vec.items()}
+    vec = _integral(vec)
     return not any(
         sum(v * vec[j] for j, v in row.items() if j in vec) for row in leibniz_rows(P.B, P.core, P.grade)
     )

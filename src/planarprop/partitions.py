@@ -57,13 +57,6 @@ class OrderedPartition:
     def from_map(cls, f: MonotoneMap) -> "OrderedPartition":
         return cls(f.fiber_sizes())
 
-    def to_json(self) -> list[int]:
-        return list(self.parts)
-
-    @classmethod
-    def from_json(cls, obj) -> "OrderedPartition":
-        return cls(tuple(obj))
-
 
 @dataclass(frozen=True)
 class Refinement:

@@ -68,15 +68,34 @@ def _extra_basis_name(spec):
     spec["basis"].append("y")
 
 
+def _boolean_dim(spec):
+    # the algebra Q, whose dim is 1, with "dim": true in place of 1
+    spec.update(dim=True, basis=["1"], mult=[[["1"]]], unit=["1"])
+
+
+def _entry(raw):
+    """A breakage that sets one structure constant to the JSON text raw
+    and returns the spec's text."""
+
+    def breakage(spec):
+        spec["mult"][1][1][0] = "RAW"
+        return json.dumps(spec).replace('"RAW"', raw)
+
+    return breakage
+
+
 @pytest.mark.parametrize(
     "breakage",
-    [_drop_last_row_of_plane_1, _shorten_an_inner_row, _zero_dim, _short_unit, _extra_basis_name],
+    [
+        _drop_last_row_of_plane_1, _shorten_an_inner_row, _zero_dim, _short_unit, _extra_basis_name, _boolean_dim,
+        *(pytest.param(_entry(raw), id=f"entry {raw}") for raw in ['"1/0"', "Infinity", "1e400", "true"]),
+    ],
 )
 def test_misshapen_spec_exits_2(breakage, tmp_path, capsys):
     spec = json.loads((DATA / "dualnum.json").read_text())
-    breakage(spec)
+    text = breakage(spec) or json.dumps(spec)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(text)
     err = _rejected(["dims", "--algebra", str(path), "--order", "1"], capsys)
     assert "not two-sided" not in err
 
@@ -419,6 +438,7 @@ def test_compose_of_operators_that_do_not_fit_exits_2(operator_files, algebra, l
         (lambda c: c["matrix"][0].__setitem__(0, ["1"]), "is not a list of rows of rationals"),
         (lambda c: c.update(matrix=[["1"], ["1", "0"]]), "is not a list of rows of rationals"),
         (lambda c: c.update(matrix=[["1/0", "0"], ["0", "0"]]), "is not a list of rows of rationals"),
+        (lambda c: c["matrix"][0].__setitem__(0, True), "is not a list of rows of rationals"),
     ],
 )
 def test_compose_rejects_a_misshapen_block(operator_files, tmp_path, edit, message, capsys):
@@ -469,6 +489,10 @@ def test_compose_rejects_an_operator_file_that_is_not_an_object(operator_files, 
         ({**GOOD_GRAPH, "vertices": [{"in": "x", "out": 1}, GOOD_GRAPH["vertices"][1]]}, "vertex {'in': 'x', 'out': 1}"),
         ({**GOOD_GRAPH, "vertices": [3, GOOD_GRAPH["vertices"][1]]}, "vertex 3 is not an object"),
         ({**GOOD_GRAPH, "edges": [[[1, "out", 1]]]}, "is not a pair of half-edges"),
+        (
+            {"vertices": [{"in": 0, "out": 1}], "edges": [], "inputs": [], "outputs": [[0, "out", 1]]},
+            "level embedding requires an essential graph",
+        ),
     ],
 )
 def test_graph_rejects_a_malformed_file(graph, message, tmp_path, capsys):
