@@ -101,8 +101,8 @@ class FinAlgebra:
         mult = parse_rationals(obj["mult"], (dim, dim, dim), f"mult must be a {dim}x{dim}x{dim} array of rationals")
         unit = parse_rationals(obj["unit"], (dim,), f"unit must be a list of {dim} rationals")
         basis = obj.get("basis", ())
-        if basis and (not isinstance(basis, list) or len(basis) != dim):
-            raise AlgebraError(f"basis must list {dim} names")
+        if basis and not (isinstance(basis, list) and len(basis) == dim and all(isinstance(x, str) for x in basis)):
+            raise AlgebraError(f"basis must list {dim} names as strings")
         return cls(dim, mult, unit, tuple(basis))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import random
@@ -74,7 +75,9 @@ def _read_algebra(spec: str) -> tuple[FinAlgebra, str]:
         try:
             with open(spec) as fh:
                 A = FinAlgebra.from_json(json.load(fh))
-        except (OSError, KeyError, ValueError) as e:
+        except KeyError as e:
+            raise CliError(f"cannot load algebra spec {spec!r}: missing key {e.args[0]!r}")
+        except (OSError, ValueError) as e:
             raise CliError(f"cannot load algebra spec {spec!r}: {e}")
     digest = hashlib.sha256(
         json.dumps(A.to_json(), sort_keys=True).encode()
@@ -156,7 +159,9 @@ def cmd_compose(args) -> int:
             P = DiffOperator.from_json(B, json.load(fh))
         with open(args.right) as fh:
             Q = DiffOperator.from_json(B, json.load(fh))
-    except (OSError, KeyError, ValueError) as e:
+    except KeyError as e:
+        raise CliError(f"cannot load operator: missing key {e.args[0]!r}")
+    except (OSError, ValueError) as e:
         raise CliError(f"cannot load operator: {e}")
     try:
         if args.mode == "h":
@@ -380,7 +385,9 @@ def _random_expr(rng, depth: int):
     return build(depth)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser of every command, built once per process."""
     parser = _Parser(
         prog="planarprop",
         description="exact computations in the prop of multi-differential operators",
@@ -418,9 +425,12 @@ def main(argv=None) -> int:
     p = command("aut-build", cmd_aut_build, "build an automorphism family from lifted derivations", "--algebra")
     p.add_argument("--order", type=int, default=3, help="truncation length, 1 to 3")
     command("aut-probe", cmd_aut_probe, "symbol surjectivity probe", "--algebra", "--order")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         for flag in ("order", "grade"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:

@@ -323,7 +323,12 @@ class SparseEchelon:
 
 def _integral(row: dict[int, Fraction]) -> dict[int, int]:
     """The nonzero entries of a rational row times the lcm of their
-    denominators; an all-int row keeps its entries as they are."""
+    denominators, as a new dict: the caller's row is never changed.  A
+    row of nonzero ints, such as `leibniz_rows` yields, is copied as it
+    is, with no pass over its entries in Python."""
+    values = row.values()
+    if set(map(type, values)) == {int} and all(values):
+        return dict(row)
     row = {j: v for j, v in row.items() if v}
     if all(type(v) is int for v in row.values()):
         return row

@@ -356,13 +356,15 @@ def _iter_constraints(core: tuple[int, ...], grade: int):
                 yield kappa, i, g
 
 
-def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
-    """Yield the Leibniz system of a shape core at a fixed total grade as
-    sparse rows (unknown index -> coefficient) over the unknowns of
-    `vector_layout`; the coefficients are integers when the structure
-    constants are.  For block (kappa, g), slot i, inputs `rest` in
-    the other slots and a basis pair (r, s) fed into slot i, the row at
-    output coordinate `row` reads
+def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
+    """The Leibniz system of a shape core at a fixed total grade, one
+    constraint block (kappa, i, g) at a time, in the order of
+    `_iter_constraints`: tuples (template, own, shifts).
+
+    For block (kappa, g), slot i, inputs `rest` in the other slots, `pre`
+    and `post` output coordinates of the slots before and after slot i,
+    and a basis pair (r, s) fed into slot i, the row at slot coordinate
+    `sl` reads
 
         sum_k c[r][s][k] P[kappa][g](.., k, ..)
       - (e_r on the slot's first factor) P[kappa][g](.., s, ..)
@@ -370,18 +372,16 @@ def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
       - sum over splits (x, y) of kappa_i and (h1, h2) of g_i of the
         junction product of P[kappa'][g'](.., r, s, ..) = 0,
 
-    each term found by index arithmetic on tensor coordinates.  Rows come
-    in the order of `_iter_constraints`, then rest, r, s and row; zero
-    rows are skipped.
-
-    The blocks come finest refinement first.  A constraint at kappa
-    involves only kappa and its one-step refinements, and those at the
-    finest refinement form a closed system (each slot a derivation), so
-    the system is triangular over refinements.  Fed in this order, an
-    elimination reduces each coarser row against a complete echelon of
-    the finer blocks instead of storing a partly reduced tail as fill;
-    the row set, and with it the reduced echelon form, is the same in
-    any order."""
+    each term found by index arithmetic on tensor coordinates.  Slot i's
+    constraints act on slot i's legs only, so the rows for one choice of
+    (rest, pre, post) are the rows at rest = pre = post = 0, the
+    `template` (sparse rows over the unknowns of `vector_layout`, zero
+    rows skipped, in r, s, sl order), moved by a shift.  A row's terms in
+    the block (kappa, g) itself, the columns in the range `own`, move by
+    the first entry of a shift; its terms in the refined blocks move by
+    the second.  `shifts` lists one pair per copy, (0, 0) first; the
+    copies lie on pairwise disjoint columns, and a block has one copy
+    exactly when kappa has one part."""
     A = B.A
     a = A.dim
     c = [[[_exact(x) for x in row] for row in plane] for plane in A.mult]
@@ -395,18 +395,20 @@ def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
 
     for kappa, i, g in _iter_constraints(core, grade):
         d = len(kappa)
-        base = blocks[(kappa, g)][0]
-        nc = a**d
+        base, nr, nc = blocks[(kappa, g)]
         n_i = g[i] + 1
         S = a**n_i  # coordinates of slot i's output
         Q = a ** sum(gj + 1 for gj in g[i + 1 :])  # of the slots after it
         P = a ** sum(gj + 1 for gj in g[:i])  # of the slots before it
+        S2, nc2 = S * a, nc * a
+        tail = a ** (d - 1 - i)
         hi = S // a
-        # per slot coordinate: the left/right action terms (new slot
-        # coordinate, coeff) and the junction terms (block offset, refined
-        # slot coordinate, coeff) of every split
-        lterms = [[[(sl + (j - sl // hi) * hi, v) for j, v in left[r][sl // hi]] for sl in range(S)] for r in range(a)]
-        rterms = [[[(sl + j - sl % a, v) for j, v in right[s][sl % a]] for sl in range(S)] for s in range(a)]
+        # per slot coordinate: the own-block column offsets (relative to
+        # the row at sl, before the input column) of the left and right
+        # action terms, and the refined columns of the junction terms
+        step = Q * nc  # between the rows of consecutive slot coordinates
+        lterms = [[[((j - sl // hi) * hi * step, v) for j, v in left[r][sl // hi]] for sl in range(S)] for r in range(a)]
+        rterms = [[[((j - sl % a) * step, v) for j, v in right[s][sl % a]] for sl in range(S)] for s in range(a)]
         jterms = [[] for _ in range(S)]
         for x in range(1, kappa[i]):
             kp = kappa[:i] + (x, kappa[i] - x) + kappa[i + 1 :]
@@ -417,10 +419,32 @@ def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
                 for sl in range(S):
                     top, k, lo = sl // (w * a), sl // w % a, sl % w
                     for u, v, cv in junction[k]:
-                        jterms[sl].append((off2, ((top * a + u) * a + v) * w + lo, cv))
-        S2 = S * a
-        nc2 = nc * a
-        tail = a ** (d - 1 - i)
+                        jterms[sl].append((off2 + (((top * a + u) * a + v) * w + lo) * Q * nc2, cv))
+        template = []
+        for r in range(a):
+            for s in range(a):
+                pr = [(k * tail, v) for k, v in prod[r][s]]
+                lt, rt = lterms[r], rterms[s]
+                c2 = (r * a + s) * tail
+                for sl in range(S):
+                    at = base + sl * step
+                    eq: dict = {}
+                    for ck, v in pr:
+                        idx = at + ck
+                        eq[idx] = eq.get(idx, 0) + v
+                    for dl, v in lt[sl]:
+                        idx = at + dl + s * tail
+                        eq[idx] = eq.get(idx, 0) - v
+                    for dl, v in rt[sl]:
+                        idx = at + dl + r * tail
+                        eq[idx] = eq.get(idx, 0) - v
+                    for idx, v in jterms[sl]:
+                        idx += c2
+                        eq[idx] = eq.get(idx, 0) - v
+                    eq = {j: v for j, v in eq.items() if v}
+                    if eq:
+                        template.append(eq)
+        shifts = []
         for rest in itertools.product(range(a), repeat=d - 1):
             head = 0
             for t in rest[:i]:
@@ -428,45 +452,77 @@ def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
             low = 0
             for t in rest[i:]:
                 low = low * a + t
-            col = [(head * a + t) * tail + low for t in range(a)]
-            for r in range(a):
-                cr = col[r]
-                for s in range(a):
-                    cs = col[s]
-                    pr = [(col[k], v) for k, v in prod[r][s]]
-                    lt, rt = lterms[r], rterms[s]
-                    c2 = ((head * a + r) * a + s) * tail + low
-                    for pre in range(P):
-                        for sl in range(S):
-                            for post in range(Q):
-                                row = (pre * S + sl) * Q + post
-                                eq: dict = {}
-                                at = base + row * nc
-                                for ck, v in pr:
-                                    idx = at + ck
-                                    eq[idx] = eq.get(idx, 0) + v
-                                for sl2, v in lt[sl]:
-                                    idx = base + ((pre * S + sl2) * Q + post) * nc + cs
-                                    eq[idx] = eq.get(idx, 0) - v
-                                for sl2, v in rt[sl]:
-                                    idx = base + ((pre * S + sl2) * Q + post) * nc + cr
-                                    eq[idx] = eq.get(idx, 0) - v
-                                for off2, slx, v in jterms[sl]:
-                                    idx = off2 + ((pre * S2 + slx) * Q + post) * nc2 + c2
-                                    eq[idx] = eq.get(idx, 0) - v
-                                eq = {j: v for j, v in eq.items() if v}
-                                if eq:
-                                    yield eq
+            for pre in range(P):
+                for post in range(Q):
+                    shifts.append(
+                        (
+                            (pre * S * Q + post) * nc + head * a * tail + low,
+                            (pre * S2 * Q + post) * nc2 + head * a * a * tail + low,
+                        )
+                    )
+        yield template, range(base, base + nr * nc), shifts
+
+
+def _copies(rows, own: range, shifts):
+    """Each row moved by each shift of its block, shift by shift: a new
+    dict per copy, its own-block columns moved by the first entry of the
+    shift and the others by the second; the rows themselves when the
+    block has a single copy."""
+    if len(shifts) == 1:
+        yield from rows
+        return
+    split = [[(j, v, j not in own) for j, v in row.items()] for row in rows]
+    for shift in shifts:
+        for terms in split:
+            yield {j + shift[k]: v for j, v, k in terms}
+
+
+def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
+    """Yield the Leibniz system of a shape core at a fixed total grade as
+    sparse rows (unknown index -> coefficient) over the unknowns of
+    `vector_layout`; the coefficients are integers when the structure
+    constants are.  Every constraint block (kappa, i, g) of
+    `_leibniz_blocks` is one template of rows replicated on pairwise
+    disjoint columns, once per choice of the inputs in the other slots
+    and the output coordinates of the slots before and after slot i;
+    this yields every copy of every template row, block by block in
+    the order of `_iter_constraints`, copy by copy within a block.  The
+    full system is the reference for `check_leibniz`.
+
+    The blocks come finest refinement first.  A constraint at kappa
+    involves only kappa and its one-step refinements, and those at the
+    finest refinement form a closed system (each slot a derivation), so
+    the system is triangular over refinements.  Fed in this order, an
+    elimination reduces each coarser row against a complete echelon of
+    the finer blocks instead of storing a partly reduced tail as fill;
+    the row set, and with it the reduced echelon form, is the same in
+    any order."""
+    for template, own, shifts in _leibniz_blocks(B, core, grade):
+        yield from _copies(template, own, shifts)
 
 
 def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEchelon]:
     """The layout of a shape's operators at a total grade and the echelon
-    of their Leibniz system, which only this function eliminates.  A shape
-    with no positive slot has one 1x1 block at grade 0, none above, no rows."""
+    of their Leibniz system, which only this function eliminates.  The
+    system is fed block by block as `leibniz_rows` yields it, but a block
+    with more than one copy has its template eliminated once, in an
+    echelon of its own, and only that echelon's reduced rows are
+    replicated: the copies lie on disjoint columns, so they span the
+    same rows as the copies of the template.  A block with a single copy
+    (kappa of one part, so every block of a single-slot shape's coarsest
+    refinement and all of shape (1,)) is fed as it is, since eliminating
+    its template first would eliminate it twice.  A shape with no
+    positive slot has one 1x1 block at grade 0, none above, no rows."""
     layout = vector_layout(B, shape, grade)
     ech = SparseEchelon(layout["total"])
-    for row in leibniz_rows(B, _positive(tuple(shape)), grade):
-        ech.add_row(row)
+    for template, own, shifts in _leibniz_blocks(B, _positive(tuple(shape)), grade):
+        if len(shifts) > 1:
+            reduced = SparseEchelon(layout["total"])
+            for row in template:
+                reduced.add_row(row)
+            template = reduced.pivot_rows.values()
+        for row in _copies(template, own, shifts):
+            ech.add_row(row)
     return layout, ech
 
 

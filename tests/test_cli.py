@@ -73,6 +73,18 @@ def _boolean_dim(spec):
     spec.update(dim=True, basis=["1"], mult=[[["1"]]], unit=["1"])
 
 
+def _no_unit(spec):
+    del spec["unit"]
+
+
+def _non_string_basis(spec):
+    spec["basis"] = [1, [2]]
+
+
+# the error line of a breakage, where it is pinned
+SPEC_MESSAGES = {_no_unit: "missing key 'unit'", _non_string_basis: "basis must list 2 names as strings"}
+
+
 def _entry(raw):
     """A breakage that sets one structure constant to the JSON text raw
     and returns the spec's text."""
@@ -88,6 +100,7 @@ def _entry(raw):
     "breakage",
     [
         _drop_last_row_of_plane_1, _shorten_an_inner_row, _zero_dim, _short_unit, _extra_basis_name, _boolean_dim,
+        _no_unit, _non_string_basis,
         *(pytest.param(_entry(raw), id=f"entry {raw}") for raw in ['"1/0"', "Infinity", "1e400", "true"]),
     ],
 )
@@ -98,6 +111,26 @@ def test_misshapen_spec_exits_2(breakage, tmp_path, capsys):
     path.write_text(text)
     err = _rejected(["dims", "--algebra", str(path), "--order", "1"], capsys)
     assert "not two-sided" not in err
+    assert SPEC_MESSAGES.get(breakage, "") in err
+
+
+def test_parser_built_once_keeps_no_state_between_calls(capsys):
+    """One process builds its argument parser once: after a rejected
+    argv, valid dims, solve and verify calls give the bytes and exit codes
+    each gives in a process of its own."""
+    from planarprop.cli import main
+
+    calls = [
+        ["solve", "--algebra", "dualnum", "--order", "x"],
+        ["dims", "--algebra", "m2", "--shape", "1,1"],
+        ["solve", "--algebra", "dualnum", "--order", "2", "--grade", "1"],
+        ["verify", "--algebra", "k2", "--seed", "3"],
+    ]
+    for argv in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        alone = run_cli(*argv)
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."])
@@ -439,6 +472,7 @@ def test_compose_of_operators_that_do_not_fit_exits_2(operator_files, algebra, l
         (lambda c: c.update(matrix=[["1"], ["1", "0"]]), "is not a list of rows of rationals"),
         (lambda c: c.update(matrix=[["1/0", "0"], ["0", "0"]]), "is not a list of rows of rationals"),
         (lambda c: c["matrix"][0].__setitem__(0, True), "is not a list of rows of rationals"),
+        (lambda c: c.pop("matrix"), "cannot load operator: missing key 'matrix'"),
     ],
 )
 def test_compose_rejects_a_misshapen_block(operator_files, tmp_path, edit, message, capsys):

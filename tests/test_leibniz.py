@@ -148,9 +148,9 @@ def test_leibniz_row_multiset_is_pinned():
 
 
 # Row reductions (`linalg._eliminate` calls) of one solve_D at an order,
-# with the system fed finest refinement first; fed coarsest first they
-# were 10,759 and 5,935.
-ELIMINATIONS = {("conj", 3): 5242, ("std", 4): 3127}
+# with the system fed finest refinement first and each block with more
+# than one copy reduced as one template, template eliminations included.
+ELIMINATIONS = {("conj", 3): 1044, ("std", 4): 2032}
 
 
 @pytest.mark.parametrize("case", sorted(ELIMINATIONS), ids=str)

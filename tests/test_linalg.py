@@ -8,8 +8,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from planarprop.algebras import STANDARD_ALGEBRAS, GradedTarget
 from planarprop.linalg import Q0, Q1, Matrix, SparseEchelon, _eliminate, _integral, in_span, span_rank
-from planarprop.operators import leibniz_rows, vector_layout
+from planarprop.operators import _leibniz_echelon, leibniz_rows, vector_layout
 from test_leibniz import target
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -403,22 +404,42 @@ def test_sparse_echelon_nullspace_equals_dense(case):
 @given(st_rows_with_repeats())
 def test_integer_rows_are_neither_kept_nor_changed(case):
     """All-int rows skip the denominator pass: explicit zeros are dropped,
-    and the caller's dict is neither stored nor reduced in place."""
+    and the caller's dict is neither stored nor reduced in place, by
+    add_row or by contains."""
     ncols, rows = case
     int_rows = []
     for row in rows:
         den = math.lcm(*(v.denominator for v in row))
         int_rows.append({j: int(v * den) for j, v in enumerate(row)})
+    int_rows += [{j: v for j, v in row.items() if v} for row in int_rows]
     copies = [dict(row) for row in int_rows]
     se = SparseEchelon(ncols)
     for row in int_rows:
+        se.contains(row)
         se.add_row(row)
+        se.contains(row)
     assert int_rows == copies
     assert not any(piv is row for piv in se.pivot_rows.values() for row in int_rows)
     rational = SparseEchelon(ncols)
     for row in _sparse_rows(rows):
         rational.add_row(row)
     assert se.rref() == rational.rref()
+
+
+@given(st_rows_with_repeats())
+def test_rational_rows_are_left_unchanged(case):
+    """add_row and contains read a caller's Fraction row without writing
+    to it, and keep no reference to it."""
+    ncols, rows = case
+    frac_rows = [{j: Fraction(v) for j, v in row.items()} for row in _sparse_rows(rows)]
+    before = [[(j, type(v), v) for j, v in row.items()] for row in frac_rows]
+    se = SparseEchelon(ncols)
+    for row in frac_rows:
+        se.contains(row)
+        se.add_row(row)
+        assert se.contains(row)
+    assert [[(j, type(v), v) for j, v in row.items()] for row in frac_rows] == before
+    assert not any(piv is row for piv in se.pivot_rows.values() for row in frac_rows)
 
 
 def assert_reduced(se):
@@ -473,6 +494,31 @@ def test_sparse_echelon_matches_reference_on_dense_conjugate(case):
     name, shape, grade = case
     B = target(name)
     assert_matches_reference(vector_layout(B, shape, grade)["total"], leibniz_rows(B, shape, grade))
+
+
+REPLICATED_CASES = [
+    (name, kind, shape, grade)
+    for name in ("dualnum", "k2", "m2")
+    for kind in ("std", "conj")
+    for shape, grade in [((1,), 1), ((2,), 0), ((1, 1), 0), ((2, 1), 1), ((1, 0, 2), 0), ((3,), 0)]
+    # m2 has no (3,) case; the reference takes minutes on its dense
+    # conjugate at (2, 1) grade 1 and (1, 0, 2)
+    if not (name == "m2" and (shape == (3,) or kind == "conj" and shape in ((2, 1), (1, 0, 2))))
+]
+
+
+@pytest.mark.parametrize("case", REPLICATED_CASES, ids=str)
+def test_leibniz_echelon_matches_reference_fed_every_row(case):
+    """`_leibniz_echelon` feeds a block with one copy as it is and
+    replicates the reduced template of any other block; its RREF is that
+    of the reference fed every row of `leibniz_rows`."""
+    name, kind, shape, grade = case
+    B = target(name) if kind == "conj" else GradedTarget(STANDARD_ALGEBRAS[name]())
+    layout, ech = _leibniz_echelon(B, shape, grade)
+    ref = ReferenceEchelon(layout["total"])
+    for row in leibniz_rows(B, tuple(x for x in shape if x), grade):
+        ref.add_row(row)
+    assert ech.rref() == ref.rref()
 
 
 @given(st_rows_with_repeats(), st.data())
