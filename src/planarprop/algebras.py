@@ -12,7 +12,6 @@ has index i_1 a^{k-1} + ... + i_k (0-based), matching Matrix.kron.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,7 +199,12 @@ class GradedTarget:
 
     def mB_matrix(self, g: int, h: int) -> Matrix:
         """Multiplication B_g x B_h -> B_{g+h} as a matrix from the
-        Kronecker-ordered tensor basis."""
+        Kronecker-ordered tensor basis: I_{a^g} (x) m (x) I_{a^h}, which
+        multiplies legs g+1 and g+2 of A^{(x)(g+h+2)}.  This is the one
+        junction map; `mB_apply`, `check_mP` (its d-fold product and its
+        collapses), `validate_aut`, `hochschild_d` and the A^e action of
+        `is_formally_smooth_witness` all multiply adjacent legs through
+        it, built once per (g, h) and target."""
         key = (g, h)
         if key not in self._mB_cache:
             a = self.A.dim
@@ -238,38 +242,17 @@ def hochschild_d(c: Matrix, p: int, grade: int, B: GradedTarget) -> Matrix:
         (dc)(a_1..a_{p+1}) = a_1 c(a_2..a_{p+1})
             + sum_{i=1}^{p} (-1)^i c(.., a_i a_{i+1}, ..)
             + (-1)^{p+1} c(a_1..a_p) a_{p+1}.
-    """
+
+    Every product is a junction map of B: the ith inner term multiplies
+    legs i and i+1 of A^{tensor (p+1)}."""
     a = B.A.dim
-    rows = B.comp_dim(grade)
-    out = Matrix.zeros(rows, a ** (p + 1))
-    for tup in itertools.product(range(a), repeat=p + 1):
-        col = 0
-        for t in tup:
-            col = col * a + t
-        total = [Q0] * rows
-        head = B.left_insert(B.A.basis_vec(tup[0]), grade).apply(_eval_cochain(c, tup[1:], a))
-        total = [t0 + h for t0, h in zip(total, head)]
-        sign = -1
-        for i in range(p):
-            prod = B.A.mul_vec(B.A.basis_vec(tup[i]), B.A.basis_vec(tup[i + 1]))
-            for k, ck in enumerate(prod):
-                if ck:
-                    merged = tup[:i] + (k,) + tup[i + 2 :]
-                    v = _eval_cochain(c, merged, a)
-                    total = [t0 + sign * ck * vv for t0, vv in zip(total, v)]
-            sign = -sign
-        tail = B.right_insert(B.A.basis_vec(tup[-1]), grade).apply(_eval_cochain(c, tup[:-1], a))
-        total = [t0 + sign * tl for t0, tl in zip(total, tail)]
-        for r in range(rows):
-            out.rows[r][col] = total[r]
-    return out
-
-
-def _eval_cochain(c: Matrix, tup, a: int):
-    col = 0
-    for t in tup:
-        col = col * a + t
-    return c.col(col)
+    if (c.nrows, c.ncols) != (B.comp_dim(grade), a**p):
+        raise AlgebraError(f"a {p}-cochain into grade {grade} is a {B.comp_dim(grade)}x{a**p} matrix")
+    ident = Matrix.identity(a)
+    out = B.mB_matrix(0, grade) @ ident.kron(c)
+    for i in range(1, p + 1):
+        out = out + (c @ B.mB_matrix(i - 1, p - i)).scale((-1) ** i)
+    return out + (B.mB_matrix(grade, 0) @ c.kron(ident)).scale((-1) ** (p + 1))
 
 
 # -- formal smoothness witness ----------------------------------------
@@ -287,13 +270,15 @@ def is_formally_smooth_witness(A: FinAlgebra) -> dict:
     reports infeasibility (a negative control, not a proof)."""
     a = A.dim
     one = list(A.unit)
-
-    def env_act(u_idx, v_idx, w):
-        """(e_u x e_v) . w for w a coordinate vector in A x A, acting by
-        left mult on the first and right mult on the second leg."""
-        lm = A.left_mult(A.basis_vec(u_idx))
-        rm = A.right_mult(A.basis_vec(v_idx))
-        return lm.kron(rm).apply(w)
+    B = GradedTarget(A)
+    # the A^e product (e_u x e_v)(e_x x e_y) = e_u e_x x e_y e_v is the
+    # junction map of A^{(x)4} at legs 1-2 and then at the legs of y and v,
+    # read at the column ((u a + x) a + y) a + v; act[r] lists the
+    # (u, x a + y, v, c) of the nonzero constants c of output coordinate r
+    act = [
+        [(col // a**3, col // a % (a * a), col % a, c) for col, c in enumerate(row) if c]
+        for row in (B.mB_matrix(1, 0) @ B.mB_matrix(0, 2)).rows
+    ]
 
     # d(e_j) = 1 x e_j - e_j x 1 in A x A
     d_gen = []
@@ -306,69 +291,50 @@ def is_formally_smooth_witness(A: FinAlgebra) -> dict:
         d_gen.append(v)
 
     # pi: (A^e)^a -> A x A, (r_j) -> sum r_j . d(e_j); the coordinate of
-    # r_j on (e_u x e_v) contributes env_act(u, v, d_gen[j])
+    # r_j on (e_u x e_v) sits at column (j a + u) a + v
     cols = a * a * a  # a generators x a^2 coordinates of A^e
-    pi = Matrix.zeros(a * a, cols)
-    for j in range(a):
-        for u in range(a):
-            for v in range(a):
-                col = (j * a + u) * a + v
-                img = env_act(u, v, d_gen[j])
-                for r in range(a * a):
-                    pi.rows[r][col] = img[r]
+    pi = [[0] * cols for _ in act]
+    for r, terms in enumerate(act):
+        for j in range(a):
+            for u, xy, v, c in terms:
+                pi[r][(j * a + u) * a + v] += c * d_gen[j][xy]
+    pi = Matrix(pi)
     relations = pi.nullspace()
 
-    # unknown splitting: s_j in (A^e)^a, so a * cols unknowns; equations:
+    # unknown splitting: s_j in (A^e)^a, so a * cols unknowns, s_j's
+    # coordinates at j * cols plus the columns of pi; equations:
     #   (R)  sum_j r_j . s_j = 0 for each relation basis vector (r_j)
     #   (P)  pi(s_j) = d(e_j)
     n_unk = a * cols
     N = n_unk  # augmented rhs column index
     ech = SparseEchelon(N + 1)
 
-    def unk(j, l, u, v):
-        # coordinate of s_j on generator l, basis e_u x e_v of A^e
-        return (j * a + l) * a * a + u * a + v
-
     # (P): for each j, each coordinate r of A x A
     for j in range(a):
         for r in range(a * a):
-            row: dict[int, Fraction] = {}
-            for l in range(a):
-                for u in range(a):
-                    for v in range(a):
-                        c = pi.rows[r][(l * a + u) * a + v]
-                        if c:
-                            row[unk(j, l, u, v)] = row.get(unk(j, l, u, v), Q0) + c
-            rhs = d_gen[j][r]
-            if rhs:
-                row[N] = -rhs
-            row = {k: x for k, x in row.items() if x}
+            row = {j * cols + col: c for col, c in enumerate(pi.rows[r]) if c}
+            if d_gen[j][r]:
+                row[N] = -d_gen[j][r]
             ech.add_row(row)
 
-    # (R): relation (r_j)_j with r_j in A^e acts on s_j by the A^e product
-    # (x x y)(x' x y') = xx' x y'y; constraint lives in (A^e)^a
+    # (R): relation (r_j)_j with r_j in A^e acts on s_j by the A^e product;
+    # the constraint lives in (A^e)^a, at generator l and coordinate r, and
+    # the rows of generator l are those of generator 0 shifted by l a^2
     for rel in relations:
         # rel coordinate at ((j, u, v)) = coefficient of e_u x e_v in r_j
-        for l in range(a):  # generator coordinate of the free module
-            for pu in range(a):  # output basis of A^e first leg
-                for pv in range(a):
-                    row = {}
-                    for j in range(a):
-                        for u in range(a):
-                            for v in range(a):
-                                c0 = rel[(j * a + u) * a + v]
-                                if not c0:
-                                    continue
-                                # (e_u x e_v) (e_x x e_y) = e_u e_x x e_y e_v
-                                for x in range(a):
-                                    for y in range(a):
-                                        c1 = A.mult[u][x][pu] * A.mult[y][v][pv]
-                                        if c1:
-                                            key = unk(j, l, x, y)
-                                            row[key] = row.get(key, Q0) + c0 * c1
-                    row = {k: c for k, c in row.items() if c}
-                    if row:
-                        ech.add_row(row)
+        rows = []
+        for terms in act:
+            row = {}
+            for j in range(a):
+                for u, xy, v, c in terms:
+                    c0 = rel[(j * a + u) * a + v]
+                    if c0:
+                        row[j * cols + xy] = row.get(j * cols + xy, Q0) + c0 * c
+            rows.append({k: x for k, x in row.items() if x})
+        for l in range(a):
+            for row in rows:
+                if row:
+                    ech.add_row({k + l * a * a: x for k, x in row.items()})
 
     feasible = N not in ech.pivot_rows
     report = {"dim": a, "kernel_module_dim": len(relations), "feasible": feasible}
@@ -379,15 +345,8 @@ def is_formally_smooth_witness(A: FinAlgebra) -> dict:
                 sol[pc] = -prow.get(N, Q0)
         # verify: pi(s_j) = d(e_j)
         for j in range(a):
-            img = [Q0] * (a * a)
-            for l in range(a):
-                for u in range(a):
-                    for v in range(a):
-                        c = sol[unk(j, l, u, v)]
-                        if c:
-                            contrib = env_act(u, v, d_gen[l])
-                            img = [i0 + c * x for i0, x in zip(img, contrib)]
-            if img != d_gen[j]:
+            s_j = sol[j * cols:(j + 1) * cols]
+            if [sum(x * y for x, y in zip(row, s_j)) for row in pi.rows] != d_gen[j]:
                 raise AlgebraError("splitting verification failed")
         report["witness"] = sol
     return report

@@ -67,18 +67,27 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _load_json(path: str, what: str, build):
+    """build(obj) for the JSON value obj held in the file at path.  A file
+    that cannot be read or parsed, a value build rejects, a missing key
+    and nesting too deep to read all raise CliError("cannot load what: ...")."""
+    try:
+        with open(path) as fh:
+            return build(json.load(fh))
+    except KeyError as e:
+        raise CliError(f"cannot load {what}: missing key {e.args[0]!r}")
+    except RecursionError:
+        raise CliError(f"cannot load {what}: nested too deeply")
+    except (OSError, ValueError) as e:
+        raise CliError(f"cannot load {what}: {e}")
+
+
 def _read_algebra(spec: str) -> tuple[FinAlgebra, str]:
     """The algebra a spec names, not yet checked, and its digest."""
     if spec in STANDARD_ALGEBRAS:
         A = STANDARD_ALGEBRAS[spec]()
     else:
-        try:
-            with open(spec) as fh:
-                A = FinAlgebra.from_json(json.load(fh))
-        except KeyError as e:
-            raise CliError(f"cannot load algebra spec {spec!r}: missing key {e.args[0]!r}")
-        except (OSError, ValueError) as e:
-            raise CliError(f"cannot load algebra spec {spec!r}: {e}")
+        A = _load_json(spec, f"algebra spec {spec!r}", FinAlgebra.from_json)
     digest = hashlib.sha256(
         json.dumps(A.to_json(), sort_keys=True).encode()
     ).hexdigest()[:16]
@@ -154,15 +163,8 @@ def cmd_solve(args) -> int:
 def cmd_compose(args) -> int:
     A, digest = _load_algebra(args.algebra)
     B = GradedTarget(A)
-    try:
-        with open(args.left) as fh:
-            P = DiffOperator.from_json(B, json.load(fh))
-        with open(args.right) as fh:
-            Q = DiffOperator.from_json(B, json.load(fh))
-    except KeyError as e:
-        raise CliError(f"cannot load operator: missing key {e.args[0]!r}")
-    except (OSError, ValueError) as e:
-        raise CliError(f"cannot load operator: {e}")
+    load = functools.partial(DiffOperator.from_json, B)
+    P, Q = (_load_json(path, "operator", load) for path in (args.left, args.right))
     try:
         if args.mode == "h":
             out = h_compose(P, Q)
@@ -197,11 +199,13 @@ def cmd_normalize(args) -> int:
     try:
         expr = parse_expr(args.expr)
         nf = normalize(expr)
+        shown = print_expr(expr), str(nf)
     except PropError as e:
         raise CliError(f"cannot normalize: {e}")
+    except RecursionError:
+        raise CliError("cannot normalize: expression nested too deeply")
     report = _header(args)
-    report["input"] = print_expr(expr)
-    report["normal_form"] = str(nf)
+    report["input"], report["normal_form"] = shown
     report["layers"] = [
         {"left": i, "name": g.name, "outputs": g.n_out, "inputs": g.n_in, "right": j}
         for (i, g, j) in nf.layers
@@ -211,11 +215,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    G = _load_json(args.file, "graph", PlanarGraph.from_json)
     try:
-        with open(args.file) as fh:
-            G = PlanarGraph.from_json(json.load(fh))
         G.validate()
-    except (OSError, KeyError, ValueError, GraphError) as e:
+    except GraphError as e:
         raise CliError(f"cannot load graph: {e}")
     report = _header(args)
     try:

@@ -119,19 +119,18 @@ def is_double_derivation(B: GradedTarget, mat: Matrix) -> bool:
 
 def from_derivations(B: GradedTarget, ders: list[Matrix], N: int = 3) -> AutFamily:
     """The family with phi_w the iterated rightmost application of the
-    double derivations indexed by the letters of w."""
+    double derivations indexed by the letters of w: each word's map is
+    its last letter applied to the last factor of its prefix's map."""
     a = B.A.dim
     for d in ders:
         if not is_double_derivation(B, d):
             raise FamilyError("input map is not a double derivation")
     maps = {}
     for w in _words(len(ders), N):
-        if not w:
-            continue
-        m = ders[w[0]]
-        for t, letter in enumerate(w[1:], start=1):
-            m = Matrix.identity(a**t).kron(ders[letter]) @ m
-        maps[w] = m
+        if len(w) == 1:
+            maps[w] = ders[w[0]]
+        elif w:
+            maps[w] = Matrix.identity(a ** (len(w) - 1)).kron(ders[w[-1]]) @ maps[w[:-1]]
     return AutFamily(B, len(ders), N, maps)
 
 

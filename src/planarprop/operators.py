@@ -587,10 +587,9 @@ def check_mP(P: DiffOperator, d: int) -> bool:
     n = P.order
     if len(P.core) != 1 and n > 0:
         raise OperatorError("check_mP applies to single-slot shapes")
-    mm = B.A.mult_matrix()
     prod = Matrix.identity(a)
-    for _ in range(d - 1):
-        prod = mm @ prod.kron(Matrix.identity(a))
+    for k in range(d - 1):
+        prod = prod @ B.mB_matrix(0, k)
     top = P.block((n,), (P.grade,)) if n > 0 else P.block((), ())
     if top is None:
         lhs = Matrix.zeros(a ** (P.grade + 1), a**d)
@@ -601,12 +600,12 @@ def check_mP(P: DiffOperator, d: int) -> bool:
     rhs = Matrix.zeros(lhs.nrows, lhs.ncols)
     for lam in enumerate_partitions(n, d):
         for g_ext, M in extend_degenerate(P, lam.parts).items():
-            # collapse the first two slots with the product of B until one is left
-            gg = list(g_ext)
-            while len(gg) > 1:
-                post = a ** sum(gj + 1 for gj in gg[2:])
-                M = B.mB_matrix(gg[0], gg[1]).kron(Matrix.identity(post)) @ M
-                gg = [gg[0] + gg[1]] + gg[2:]
+            # collapse the first two slots with the product of B until one is
+            # left: mB(g0, g1) (x) I on the later legs is mB(g0, legs - g0 - 2)
+            head, legs = g_ext[0], sum(g_ext) + len(g_ext)
+            for gj in g_ext[1:]:
+                M = B.mB_matrix(head, legs - head - 2) @ M
+                head, legs = head + gj, legs - 1
             rhs = rhs + M
     return lhs == rhs
 

@@ -1,5 +1,6 @@
 """Finite-dimensional algebras and the graded tensor target."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from planarprop.algebras import (
     m2,
     save_algebra,
 )
-from planarprop.linalg import Matrix, span_rank
+from planarprop.linalg import Matrix, SparseEchelon, span_rank
 from planarprop.operators import solve_Dn
 
 ALGEBRAS = [dual_numbers, kxk, m2]
@@ -209,3 +210,177 @@ def test_smoothness_witness_separates_m2_from_dual_numbers():
     assert is_formally_smooth_witness(m2())["feasible"]
     assert is_formally_smooth_witness(kxk())["feasible"]
     assert not is_formally_smooth_witness(dual_numbers())["feasible"]
+
+
+# -- references: the differential and the smoothness witness written
+# with one insertion matrix, one A^e action and one cochain column per
+# basis tuple, compared with the junction-map versions above
+
+
+def reference_hochschild_d(c: Matrix, p: int, grade: int, B: GradedTarget) -> Matrix:
+    a = B.A.dim
+    rows = B.comp_dim(grade)
+
+    def value(tup):
+        col = 0
+        for t in tup:
+            col = col * a + t
+        return c.col(col)
+
+    out = Matrix.zeros(rows, a ** (p + 1))
+    for col, tup in enumerate(itertools.product(range(a), repeat=p + 1)):
+        total = B.left_insert(B.A.basis_vec(tup[0]), grade).apply(value(tup[1:]))
+        sign = -1
+        for i in range(p):
+            prod = B.A.mul_vec(B.A.basis_vec(tup[i]), B.A.basis_vec(tup[i + 1]))
+            for k, ck in enumerate(prod):
+                if ck:
+                    v = value(tup[:i] + (k,) + tup[i + 2 :])
+                    total = [t0 + sign * ck * vv for t0, vv in zip(total, v)]
+            sign = -sign
+        tail = B.right_insert(B.A.basis_vec(tup[-1]), grade).apply(value(tup[:-1]))
+        total = [t0 + sign * tl for t0, tl in zip(total, tail)]
+        for r in range(rows):
+            out.rows[r][col] = total[r]
+    return out
+
+
+def reference_is_formally_smooth_witness(A: FinAlgebra) -> dict:
+    a = A.dim
+    one = list(A.unit)
+
+    def env_act(u, v, w):
+        """(e_u x e_v) . w: left mult on the first leg, right mult on the second."""
+        return A.left_mult(A.basis_vec(u)).kron(A.right_mult(A.basis_vec(v))).apply(w)
+
+    d_gen = []
+    for j in range(a):
+        ej = A.basis_vec(j)
+        d_gen.append([one[i] * ej[k] - ej[i] * one[k] for i in range(a) for k in range(a)])
+    cols = a * a * a
+    pi = Matrix.zeros(a * a, cols)
+    for j in range(a):
+        for u in range(a):
+            for v in range(a):
+                img = env_act(u, v, d_gen[j])
+                for r in range(a * a):
+                    pi.rows[r][(j * a + u) * a + v] = img[r]
+    relations = pi.nullspace()
+    N = a * cols
+    ech = SparseEchelon(N + 1)
+
+    def unk(j, l, u, v):
+        return (j * a + l) * a * a + u * a + v
+
+    for j in range(a):
+        for r in range(a * a):
+            row = {}
+            for l, u, v in itertools.product(range(a), repeat=3):
+                if pi.rows[r][(l * a + u) * a + v]:
+                    row[unk(j, l, u, v)] = pi.rows[r][(l * a + u) * a + v]
+            if d_gen[j][r]:
+                row[N] = -d_gen[j][r]
+            ech.add_row(row)
+    for rel in relations:
+        for l, pu, pv in itertools.product(range(a), repeat=3):
+            row = {}
+            for j, u, v in itertools.product(range(a), repeat=3):
+                c0 = rel[(j * a + u) * a + v]
+                if not c0:
+                    continue
+                for x, y in itertools.product(range(a), repeat=2):
+                    c1 = A.mult[u][x][pu] * A.mult[y][v][pv]
+                    if c1:
+                        row[unk(j, l, x, y)] = row.get(unk(j, l, x, y), 0) + c0 * c1
+            row = {k: c for k, c in row.items() if c}
+            if row:
+                ech.add_row(row)
+    feasible = N not in ech.pivot_rows
+    report = {"dim": a, "kernel_module_dim": len(relations), "feasible": feasible}
+    if feasible:
+        sol = [Fraction(0)] * N
+        for pc, prow in ech.rref().items():
+            if pc < N:
+                sol[pc] = -prow.get(N, Fraction(0))
+        for j in range(a):
+            img = [Fraction(0)] * (a * a)
+            for l, u, v in itertools.product(range(a), repeat=3):
+                if sol[unk(j, l, u, v)]:
+                    contrib = env_act(u, v, d_gen[l])
+                    img = [i0 + sol[unk(j, l, u, v)] * x for i0, x in zip(img, contrib)]
+            assert img == d_gen[j]
+        report["witness"] = sol
+    return report
+
+
+def _from_units(n: int, product, unit) -> FinAlgebra:
+    """The algebra on basis 0..n-1 whose basis products product(i, j)
+    returns as a basis index or None (zero)."""
+    mult = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        k = product(i, j)
+        if k is not None:
+            mult[i][j][k] = Fraction(1)
+    A = FinAlgebra(n, tuple(tuple(tuple(r) for r in p) for p in mult), tuple(Fraction(x) for x in unit))
+    check_algebra(A)
+    return A
+
+
+def truncated_cubic() -> FinAlgebra:
+    """k[x]/(x^3), basis (1, x, x^2)."""
+    return _from_units(3, lambda i, j: i + j if i + j < 3 else None, (1, 0, 0))
+
+
+def upper_triangular() -> FinAlgebra:
+    """Upper triangular 2x2 matrices T2, basis of matrix units E11, E12, E22."""
+    units = [(0, 0), (0, 1), (1, 1)]
+    return _from_units(
+        3, lambda i, j: units.index((units[i][0], units[j][1])) if units[i][1] == units[j][0] else None, (1, 0, 1)
+    )
+
+
+CORPUS = {
+    **{name: make for name, make in STANDARD_ALGEBRAS.items()},
+    **{f"{name} conj": functools.partial(conjugate, name) for name in STANDARD_ALGEBRAS},
+    "k[x]/(x^3)": truncated_cubic,
+    "T2": upper_triangular,
+}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_hochschild_d_matches_reference(name):
+    A = CORPUS[name]()
+    B = GradedTarget(A)
+    a = A.dim
+    rng = random.Random(11)
+    compared = 0
+    for p, grade in itertools.product(range(4), range(3)):
+        if a ** (grade + 1) * a ** (p + 1) > 5000:
+            continue
+        c = Matrix(
+            [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a**p)] for _ in range(B.comp_dim(grade))]
+        )
+        assert hochschild_d(c, p, grade, B) == reference_hochschild_d(c, p, grade, B)
+        compared += 1
+    assert compared >= 9
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_smoothness_report_matches_reference(name):
+    A = CORPUS[name]()
+    report = is_formally_smooth_witness(A)
+    assert report == reference_is_formally_smooth_witness(A)
+    expected = {"k[x]/(x^3)": False, "T2": True}
+    if name in expected:
+        assert report["feasible"] is expected[name]
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 2), (2, 1)])
+def test_hochschild_d_rejects_a_misshapen_cochain(shape):
+    # over the dual numbers a 1-cochain into grade 0 is 2x2, a 0-cochain 2x1
+    B = GradedTarget(dual_numbers())
+    c = Matrix.zeros(*shape)
+    for p in (0, 1):
+        if shape != (2, 2**p):
+            with pytest.raises(AlgebraError, match="cochain"):
+                hochschild_d(c, p, 0, B)

@@ -535,6 +535,26 @@ def test_graph_rejects_a_malformed_file(graph, message, tmp_path, capsys):
     assert message in _rejected(["graph", str(path)], capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["dims", "--algebra", "DEEP", "--order", "1"], "nested too deeply", id="algebra spec"),
+        pytest.param(["graph", "DEEP"], "cannot load graph: nested too deeply", id="graph"),
+        pytest.param(
+            ["compose", "--algebra", "dualnum", "DEEP", "DEEP"], "cannot load operator: nested too deeply", id="operator"
+        ),
+        pytest.param(["normalize", " * ".join(["u"] * 3000)], "expression nested too deeply", id="3000 wires"),
+        pytest.param(["normalize", "(" * 1200 + "u" + ")" * 1200], "expression nested too deeply", id="1200 parentheses"),
+    ],
+)
+def test_deeply_nested_input_exits_2(argv, message, tmp_path, capsys):
+    # DEEP names a file holding a JSON array nested 100,000 deep
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    err = _rejected([str(deep) if x == "DEEP" else x for x in argv], capsys)
+    assert message in err
+
+
 @pytest.mark.parametrize("left, right", [("Z", "Z"), ("Z", "P"), ("P", "Z")])
 def test_compose_d_with_a_zero_scalar_gives_zero(operator_files, tmp_path, left, right, capsys):
     from planarprop.cli import main
