@@ -328,7 +328,7 @@ def cmd_verify(args) -> int:
         except PropError:
             continue
         labels = {}
-        for g in _gens_of(expr):
+        for _, g, _ in nf.layers:
             if g.name not in labels:
                 mat = Matrix(
                     [
@@ -351,15 +351,6 @@ def _verify_report(args, digest: str, results: list[dict]) -> int:
     report["all_pass"] = all(r["pass"] for r in results)
     _emit(report, args)
     return 0 if report["all_pass"] else 1
-
-
-def _gens_of(e):
-    match e:
-        case Gen():
-            yield e
-        case HComp(a, b) | VComp(a, b):
-            yield from _gens_of(a)
-            yield from _gens_of(b)
 
 
 def _random_expr(rng, depth: int):

@@ -69,8 +69,9 @@ class PlanarGraph:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> None:
-        """Well-formedness: every half-edge in exactly one edge or on the
-        boundary, edges pair outputs with inputs, no directed cycles."""
+        """Well-formedness: every boundary entry is a half-edge of the
+        graph, every half-edge in exactly one edge or on the boundary,
+        edges pair outputs with inputs, no directed cycles."""
         all_he = set(self.half_edges())
         seen: set[HalfEdge] = set()
         for src, dst in self.edges:
@@ -83,6 +84,8 @@ class PlanarGraph:
                     raise GraphError(f"half-edge {h} used by more than one edge")
                 seen.add(h)
         boundary = set(self.graph_inputs) | set(self.graph_outputs)
+        if not boundary <= all_he:
+            raise GraphError(f"boundary half-edge {min(boundary - all_he)} is not a half-edge of the graph")
         for h in all_he:
             on_edge = h in seen
             on_boundary = h in boundary

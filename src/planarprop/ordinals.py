@@ -53,13 +53,6 @@ class MonotoneMap:
             counts[v - 1] += 1
         return tuple(counts)
 
-    def to_json(self) -> dict:
-        return {"dom": self.dom, "cod": self.cod, "values": list(self.values)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MonotoneMap":
-        return cls(obj["dom"], obj["cod"], tuple(obj["values"]))
-
 
 def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     """g after f."""

@@ -6,7 +6,12 @@ so in `X . Y` the right factor sits on the input side.  Horizontal
 composition is side by side.  Units: `u` in P(1,1), `u0` in P(0,0).
 
 Text syntax: generators `a#m,n`, `*` horizontal (binds tighter),
-`.` vertical, parentheses.  The parser and printer round-trip.
+`.` vertical, parentheses.  The parser reads each product as nesting to
+the left and the printer brackets only a vertical product inside a
+horizontal one, so parse_expr(print_expr(e)) == e whenever no product in
+e has a right factor that is a product of the same kind.  Every
+NormalForm.embed() is such an e, so str(nf) parses back to nf.embed()
+whenever the parser reads its generator names.
 
 A normal form is a vertical product of layers (u^i o_h a o_h u^j), factor
 1 nearest the outputs, subject to: for all k and l < k,
@@ -16,12 +21,19 @@ A normal form is a vertical product of layers (u^i o_h a o_h u^j), factor
 Rewriting uses the compatibility relation to push an offending layer
 toward the output end; the leftmost violating adjacent pair is always
 swapped first, which makes the result canonical.
+
+Evaluating in a prop is one fold over those layers, `eval_nf`.  A planar
+graph evaluates through the normal form its level embedding gives, and
+the braid relation compares two three-layer forms.  `eval_expr` walks
+the expression tree instead and is the independent route the normal
+form is checked against.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .graphs import Corolla, PlanarGraph
 from .linalg import Matrix
@@ -72,24 +84,8 @@ PropExpr = Gen | Unit | HUnit | HComp | VComp
 
 def arity(e: PropExpr) -> tuple[int, int]:
     """(outputs, inputs) of an expression; raises on inner mismatch."""
-    match e:
-        case Gen(_, m, n):
-            return (m, n)
-        case Unit():
-            return (1, 1)
-        case HUnit():
-            return (0, 0)
-        case HComp(a, b):
-            m1, n1 = arity(a)
-            m2, n2 = arity(b)
-            return (m1 + m2, n1 + n2)
-        case VComp(a, b):
-            m, n = arity(a)
-            p, q = arity(b)
-            if n != p:
-                raise PropError(f"vertical arity mismatch: {n} inputs vs {p} outputs")
-            return (m, q)
-    raise PropError(f"not a prop expression: {e!r}")
+    nf = _flatten(e)
+    return (nf.n_out, nf.n_in)
 
 
 # -- parser / printer --------------------------------------------------
@@ -228,27 +224,12 @@ class NormalForm:
 
     def embed(self) -> PropExpr:
         """Back to an expression: u^width for the empty form, otherwise the
-        vertical product of (u^i * a * u^j) layers."""
+        vertical product of (u^i * a * u^j) layers.  Every product nests
+        to the left, as the parser reads `*` and `.`, so str(self) parses
+        back to this expression."""
         if not self.layers:
-            if self.width == 0:
-                return HUnit()
-            e: PropExpr = Unit()
-            for _ in range(self.width - 1):
-                e = HComp(e, Unit())
-            return e
-
-        def layer_expr(i: int, g: Gen, j: int) -> PropExpr:
-            e: PropExpr = g
-            for _ in range(i):
-                e = HComp(Unit(), e)
-            for _ in range(j):
-                e = HComp(e, Unit())
-            return e
-
-        out = layer_expr(*self.layers[0])
-        for lay in self.layers[1:]:
-            out = VComp(out, layer_expr(*lay))
-        return out
+            return reduce(HComp, [Unit()] * self.width) if self.width else HUnit()
+        return reduce(VComp, (reduce(HComp, [Unit()] * i + [g] + [Unit()] * j) for i, g, j in self.layers))
 
     def __str__(self) -> str:
         return print_expr(self.embed())
@@ -372,35 +353,36 @@ def eval_expr(e: PropExpr, prop, labels: dict[str, object]):
 
 
 def eval_nf(nf: NormalForm, prop, labels: dict[str, object]):
-    return eval_expr(nf.embed(), prop, labels)
+    """Evaluate a normal form in any prop interface: u^width for a form
+    with no layers, otherwise the vertical product of the layers
+    u^i o_h a o_h u^j, composed output side first.  Generators are looked
+    up through `eval_expr`, which checks each label's arity.  This is the
+    one layer fold: graphs and the braid relation evaluate through it."""
+    if not nf.layers:
+        return prop.u_power(nf.width)
 
-
-def eval_graph(G: PlanarGraph, labels, prop):
-    """Evaluate a labeled essential planar graph: the canonical level
-    embedding gives a normal form (u^{i_1} o a_1 o u^{j_1}) o_v ...,
-    which is folded through the prop's operations.  `labels` maps vertex
-    index to prop element; arities must match."""
-    order, layers, _ = G.level_embed()
-    if not order:
-        return prop.u_power(len(G.graph_inputs))
-    for v in order:
-        el = labels[v]
-        cor = G.vertices[v]
-        if el[0] != cor.n_out or el[1] != cor.n_in:
-            raise PropError(f"label arity mismatch at vertex {v}")
-
-    def term(i, v, j):
-        el = labels[v]
+    def layer(i: int, g: Gen, j: int):
+        el = eval_expr(g, prop, labels)
         if i:
             el = prop.h_compose(prop.u_power(i), el)
         if j:
             el = prop.h_compose(el, prop.u_power(j))
         return el
 
-    acc = term(*layers[0])
-    for lay in layers[1:]:
-        acc = prop.v_compose(acc, term(*lay))
-    return acc
+    return reduce(prop.v_compose, (layer(*lay) for lay in nf.layers))
+
+
+def eval_graph(G: PlanarGraph, labels, prop):
+    """Evaluate a labeled essential planar graph through its normal form:
+    the canonical level embedding gives one layer per vertex, whose
+    generator is named by the vertex index.  `labels` maps vertex index
+    to prop element; a label of the wrong arity raises PropError."""
+    _, layers, _ = G.level_embed()
+    nf = NormalForm(
+        tuple((i, Gen(str(v), G.vertices[v].n_out, G.vertices[v].n_in), j) for i, v, j in layers),
+        len(G.graph_outputs),
+    )
+    return eval_nf(nf, prop, {str(v): labels[v] for _, v, _ in layers})
 
 
 def graph_of_nf(nf: NormalForm) -> tuple[PlanarGraph, dict[int, Gen]]:
@@ -431,32 +413,13 @@ def graph_of_nf(nf: NormalForm) -> tuple[PlanarGraph, dict[int, Gen]]:
     return G, gen_of
 
 
-def braid_graphs() -> tuple[PlanarGraph, PlanarGraph]:
-    """The two 3-vertex, 3-wire graphs of the braid relation
-    (s o_h u) o_v (u o_h s) o_v (s o_h u)  vs  the mirror image.
-    Vertex 0 is the bottom (output side) crossing in both."""
-    c = Corolla(2, 2)
-    left = PlanarGraph(
-        vertices=[c, c, c],
-        edges=[((2, "out", 2), (1, "in", 1)), ((2, "out", 1), (0, "in", 1)), ((1, "out", 1), (0, "in", 2))],
-        graph_inputs=[(2, "in", 1), (2, "in", 2), (1, "in", 2)],
-        graph_outputs=[(0, "out", 1), (0, "out", 2), (1, "out", 2)],
-    )
-    right = PlanarGraph(
-        vertices=[c, c, c],
-        edges=[((2, "out", 1), (1, "in", 2)), ((1, "out", 2), (0, "in", 1)), ((2, "out", 2), (0, "in", 2))],
-        graph_inputs=[(1, "in", 1), (2, "in", 1), (2, "in", 2)],
-        graph_outputs=[(1, "out", 1), (0, "out", 1), (0, "out", 2)],
-    )
-    return left, right
-
-
 def braid_check(R: Matrix, dim: int) -> bool:
     """Whether R in P(2,2) of the endomorphism prop satisfies the braid
-    relation, evaluated through the two 3-layer graphs."""
+    relation (s o_h u) o_v (u o_h s) o_v (s o_h u) = (u o_h s) o_v
+    (s o_h u) o_v (u o_h s), both sides evaluated as normal forms."""
     P = EndProp(dim)
-    el = P.element(2, 2, R)
-    gl, gr = braid_graphs()
-    lhs = eval_graph(gl, {0: el, 1: el, 2: el}, P)
-    rhs = eval_graph(gr, {0: el, 1: el, 2: el}, P)
+    s = Gen("s", 2, 2)
+    labels = {"s": P.element(2, 2, R)}
+    lhs = eval_nf(NormalForm(((0, s, 1), (1, s, 0), (0, s, 1)), 3), P, labels)
+    rhs = eval_nf(NormalForm(((1, s, 0), (0, s, 1), (1, s, 0)), 3), P, labels)
     return P.equal(lhs, rhs)

@@ -527,6 +527,14 @@ def test_compose_rejects_an_operator_file_that_is_not_an_object(operator_files, 
             {"vertices": [{"in": 0, "out": 1}], "edges": [], "inputs": [], "outputs": [[0, "out", 1]]},
             "level embedding requires an essential graph",
         ),
+        (
+            {"vertices": [{"in": 1, "out": 1}], "edges": [], "inputs": [[0, "in", 1], [5, "in", 1]], "outputs": [[0, "out", 1]]},
+            "cannot load graph: boundary half-edge (5, 'in', 1) is not a half-edge of the graph",
+        ),
+        (
+            {"vertices": [{"in": 1, "out": 1}], "edges": [], "inputs": [[0, "in", 1]], "outputs": [[0, "out", 1], [0, "out", 7]]},
+            "cannot load graph: boundary half-edge (0, 'out', 7) is not a half-edge of the graph",
+        ),
     ],
 )
 def test_graph_rejects_a_malformed_file(graph, message, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -58,6 +59,18 @@ class TestValidation:
         G = PlanarGraph.corolla(1, 1)
         G.graph_inputs = []
         with pytest.raises(GraphError):
+            G.validate()
+
+    @pytest.mark.parametrize(
+        "inputs, outputs, missing",
+        [
+            ([(0, "in", 1), (5, "in", 1)], [(0, "out", 1)], (5, "in", 1)),
+            ([(0, "in", 1)], [(0, "out", 1), (0, "out", 7)], (0, "out", 7)),
+        ],
+    )
+    def test_boundary_names_a_missing_half_edge(self, inputs, outputs, missing):
+        G = PlanarGraph(vertices=[Corolla(1, 1)], edges=[], graph_inputs=inputs, graph_outputs=outputs)
+        with pytest.raises(GraphError, match=f"boundary half-edge {re.escape(str(missing))} is not a half-edge"):
             G.validate()
 
     def test_substitute_preserves_validity(self):

@@ -165,8 +165,3 @@ def test_fiber_sizes_sum(m, data):
     assert sum(sizes) == m
     assert len(sizes) == n
     assert all(s >= 1 for s in sizes)
-
-
-def test_serialization_round_trip():
-    for f in all_monotone_maps(3, 4):
-        assert MonotoneMap.from_json(f.to_json()) == f

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_graphs import random_planar_composite
 
+from planarprop.graphs import Corolla, PlanarGraph
 from planarprop.linalg import Matrix
 from planarprop.props import (
     EndProp,
@@ -78,6 +80,21 @@ class TestParsing:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(PropError):
             arity(parse_expr("a#1,2 . b#1,1"))
+
+    def test_printed_normal_form_parses_back_to_its_embedding(self):
+        for text in ["u * u * a#1,1", "a#1,1 * b#1,1 * c#1,1", "u * u * a#2,1 * u . u * b#1,2 * u * u"]:
+            nf = normalize(parse_expr(text))
+            assert parse_expr(str(nf)) == nf.embed()
+        rng = random.Random(21)
+        wide_pads = 0
+        for _ in range(500):
+            nf = normalize(random_expr(rng))
+            assert parse_expr(str(nf)) == nf.embed()
+            wide_pads += any(i >= 2 for i, _, _ in nf.layers)
+        assert wide_pads >= 50
+        for width in range(4):
+            nf = NormalForm((), width)
+            assert parse_expr(str(nf)) == nf.embed()
 
     def test_bad_syntax_rejected(self):
         for text in ["", "a#", "a#1", "* u", "a#1,1 ."]:
@@ -189,3 +206,162 @@ class TestBraid:
         rng = random.Random(99)
         R = rand_matrix(rng, 4, 4)
         assert not braid_check(R, 2)
+
+
+# -- reference routes --------------------------------------------------
+# The evaluators as they stood before `eval_nf` became the one layer fold:
+# `arity` as its own recursive walk, `eval_nf` through the rebuilt
+# expression tree, `eval_graph` folding the level embedding by itself, and
+# the braid relation through two hand-built 3-vertex graphs.
+
+
+def reference_arity(e):
+    match e:
+        case Gen(_, m, n):
+            return (m, n)
+        case Unit():
+            return (1, 1)
+        case HUnit():
+            return (0, 0)
+        case HComp(a, b):
+            m1, n1 = reference_arity(a)
+            m2, n2 = reference_arity(b)
+            return (m1 + m2, n1 + n2)
+        case VComp(a, b):
+            m, n = reference_arity(a)
+            p, q = reference_arity(b)
+            if n != p:
+                raise PropError(f"vertical arity mismatch: {n} inputs vs {p} outputs")
+            return (m, q)
+    raise PropError(f"not a prop expression: {e!r}")
+
+
+def reference_eval_nf(nf, prop, labels):
+    return eval_expr(nf.embed(), prop, labels)
+
+
+def reference_eval_graph(G, labels, prop):
+    order, layers, _ = G.level_embed()
+    if not order:
+        return prop.u_power(len(G.graph_inputs))
+    for v in order:
+        el = labels[v]
+        cor = G.vertices[v]
+        if el[0] != cor.n_out or el[1] != cor.n_in:
+            raise PropError(f"label arity mismatch at vertex {v}")
+
+    def term(i, v, j):
+        el = labels[v]
+        if i:
+            el = prop.h_compose(prop.u_power(i), el)
+        if j:
+            el = prop.h_compose(el, prop.u_power(j))
+        return el
+
+    acc = term(*layers[0])
+    for lay in layers[1:]:
+        acc = prop.v_compose(acc, term(*lay))
+    return acc
+
+
+def reference_braid_graphs():
+    c = Corolla(2, 2)
+    left = PlanarGraph(
+        vertices=[c, c, c],
+        edges=[((2, "out", 2), (1, "in", 1)), ((2, "out", 1), (0, "in", 1)), ((1, "out", 1), (0, "in", 2))],
+        graph_inputs=[(2, "in", 1), (2, "in", 2), (1, "in", 2)],
+        graph_outputs=[(0, "out", 1), (0, "out", 2), (1, "out", 2)],
+    )
+    right = PlanarGraph(
+        vertices=[c, c, c],
+        edges=[((2, "out", 1), (1, "in", 2)), ((1, "out", 2), (0, "in", 1)), ((2, "out", 2), (0, "in", 2))],
+        graph_inputs=[(1, "in", 1), (2, "in", 1), (2, "in", 2)],
+        graph_outputs=[(1, "out", 1), (0, "out", 1), (0, "out", 2)],
+    )
+    return left, right
+
+
+def reference_braid_check(R, dim):
+    P = EndProp(dim)
+    el = P.element(2, 2, R)
+    gl, gr = reference_braid_graphs()
+    lhs = reference_eval_graph(gl, {0: el, 1: el, 2: el}, P)
+    rhs = reference_eval_graph(gr, {0: el, 1: el, 2: el}, P)
+    return P.equal(lhs, rhs)
+
+
+def untyped_expr(rng, depth):
+    """Any tree of generators, units and products, arities unchecked, with
+    now and then a leaf that is not a prop expression at all."""
+    if depth == 0 or rng.random() < 0.2:
+        r = rng.random()
+        if r < 0.05:
+            return "junk"
+        if r < 0.2:
+            return HUnit()
+        if r < 0.4:
+            return Unit()
+        return Gen(f"g{rng.randint(0, 3)}", rng.randint(1, 3), rng.randint(1, 3))
+    node = HComp if rng.random() < 0.5 else VComp
+    return node(untyped_expr(rng, depth - 1), untyped_expr(rng, depth - 1))
+
+
+def outcome(f, *args):
+    """f's value, or the message of the PropError it raises."""
+    try:
+        return f(*args)
+    except PropError as e:
+        return ("PropError", str(e))
+
+
+class TestAgainstReference:
+    def test_arity(self):
+        rng = random.Random(31)
+        kinds = {True: 0, False: 0}
+        for _ in range(300):
+            e = untyped_expr(rng, rng.randint(0, 5))
+            got = outcome(arity, e)
+            assert got == outcome(reference_arity, e)
+            kinds[got[0] != "PropError"] += 1
+        assert min(kinds.values()) >= 50
+
+    def test_eval_nf(self):
+        rng = random.Random(32)
+        P = EndProp(2)
+        for width in range(4):
+            nf = NormalForm((), width)
+            assert P.equal(eval_nf(nf, P, {}), reference_eval_nf(nf, P, {}))
+        for _ in range(100):
+            e = random_expr(rng)
+            nf = normalize(e)
+            labels = labels_for(rng, e, P)
+            assert P.equal(eval_nf(nf, P, labels), reference_eval_nf(nf, P, labels))
+
+    def test_eval_graph(self):
+        rng = random.Random(33)
+        P = EndProp(2)
+        for _ in range(60):
+            G = random_planar_composite(rng)
+            labels = {
+                v: P.element(c.n_out, c.n_in, rand_matrix(rng, P.dim**c.n_out, P.dim**c.n_in))
+                for v, c in enumerate(G.vertices)
+            }
+            assert P.equal(eval_graph(G, labels, P), reference_eval_graph(G, labels, P))
+
+    def test_eval_graph_rejects_a_label_of_the_wrong_arity(self):
+        P = EndProp(2)
+        G = PlanarGraph.corolla(2, 1)
+        wrong = P.element(2, 1, rand_matrix(random.Random(34), 4, 2))
+        with pytest.raises(PropError):
+            eval_graph(G, {0: wrong}, P)
+        with pytest.raises(PropError):
+            reference_eval_graph(G, {0: wrong}, P)
+
+    def test_braid_check(self):
+        rng = random.Random(35)
+        q = Fraction(3)
+        hecke = Matrix([[q, 0, 0, 0], [0, q - 1 / q, 1, 0], [0, 1, 0, 0], [0, 0, 0, q]])
+        cases = [swap_matrix(2), hecke, Matrix.identity(4)] + [rand_matrix(rng, 4, 4) for _ in range(30)]
+        for R in cases:
+            assert braid_check(R, 2) == reference_braid_check(R, 2)
+        assert [braid_check(R, 2) for R in cases[:3]] == [True, True, True]
