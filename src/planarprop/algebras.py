@@ -201,7 +201,7 @@ class GradedTarget:
         """Multiplication B_g x B_h -> B_{g+h} as a matrix from the
         Kronecker-ordered tensor basis: I_{a^g} (x) m (x) I_{a^h}, which
         multiplies legs g+1 and g+2 of A^{(x)(g+h+2)}.  This is the one
-        junction map; `mB_apply`, `check_mP` (its d-fold product and its
+        junction map; `check_mP` (its d-fold product and its
         collapses), `validate_aut`, `hochschild_d` and the A^e action of
         `is_formally_smooth_witness` all multiply adjacent legs through
         it, built once per (g, h) and target."""
@@ -213,15 +213,6 @@ class GradedTarget:
             right = Matrix.identity(a**h)
             self._mB_cache[key] = left.kron(m).kron(right)
         return self._mB_cache[key]
-
-    def mB_apply(self, gx: int, x, gy: int, y):
-        """Product of x in grade gx and y in grade gy; returns the grade
-        gx + gy coordinate vector."""
-        a = self.A.dim
-        if len(x) != a ** (gx + 1) or len(y) != a ** (gy + 1):
-            raise AlgebraError("graded vector length mismatch")
-        xy = [xi * yj for xi in x for yj in y]
-        return self.mB_matrix(gx, gy).apply(xy)
 
     def left_insert(self, x, g: int) -> Matrix:
         """Left multiplication by x: B_g -> B_g (acts on the first tensor

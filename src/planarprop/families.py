@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .algebras import FinAlgebra, GradedTarget
 from .linalg import Matrix, format_rationals, span_rank
-from .operators import DiffOperator, solve_Dn, symbol, unit_operator
+from .operators import DiffOperator, solve_Dn, unit_operator
 from .ordinals import MonotoneMap
 from .partitions import compositions
 
@@ -263,7 +263,7 @@ def surjectivity_probe(A: FinAlgebra, n: int) -> dict:
     collapse = functools.reduce(Matrix.kron, [B.A.mult_matrix()] * n)
     vecs = []
     for w in itertools.product(range(len(letters)), repeat=n):
-        coll = collapse @ symbol(r_map(phi, w)).block(fin, fin)
+        coll = collapse @ r_map(phi, w).block(fin, fin)
         vecs.append([x for row in coll.rows for x in row])
     symbol_dim = len(ders) ** n  # D_(1,...,1)(0) = D_(1)(0)^(x)n: slots act apart
     rank = span_rank(vecs)

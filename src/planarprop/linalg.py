@@ -324,8 +324,8 @@ class SparseEchelon:
 def _integral(row: dict[int, Fraction]) -> dict[int, int]:
     """The nonzero entries of a rational row times the lcm of their
     denominators, as a new dict: the caller's row is never changed.  A
-    row of nonzero ints, such as `leibniz_rows` yields, is copied as it
-    is, with no pass over its entries in Python."""
+    row of nonzero ints, such as every Leibniz template row and copy, is
+    copied as it is, with no pass over its entries in Python."""
     values = row.values()
     if set(map(type, values)) == {int} and all(values):
         return dict(row)

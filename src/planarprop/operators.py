@@ -379,9 +379,10 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
     rows skipped, in r, s, sl order), moved by a shift.  A row's terms in
     the block (kappa, g) itself, the columns in the range `own`, move by
     the first entry of a shift; its terms in the refined blocks move by
-    the second.  `shifts` lists one pair per copy, (0, 0) first; the
-    copies lie on pairwise disjoint columns, and a block has one copy
-    exactly when kappa has one part."""
+    the second, as `_split` reads them for the solver (`_copies`) and the
+    checker (`check_leibniz`) alike.  `shifts` lists one pair per copy,
+    (0, 0) first; the copies lie on pairwise disjoint columns, and a
+    block has one copy exactly when kappa has one part."""
     A = B.A
     a = A.dim
     c = [[[_exact(x) for x in row] for row in plane] for plane in A.mult]
@@ -463,52 +464,38 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
         yield template, range(base, base + nr * nc), shifts
 
 
+def _split(rows, own: range) -> list[list[tuple[int, int, bool]]]:
+    """The terms (column, coefficient, k) of each template row, where k
+    picks the entry of a shift that moves the column: 0 for a column of
+    the block itself (in `own`), 1 for one of a refined block."""
+    return [[(j, v, j not in own) for j, v in row.items()] for row in rows]
+
+
 def _copies(rows, own: range, shifts):
-    """Each row moved by each shift of its block, shift by shift: a new
-    dict per copy, its own-block columns moved by the first entry of the
-    shift and the others by the second; the rows themselves when the
-    block has a single copy."""
+    """Each row moved by each shift of its block, shift by shift, as a
+    new dict per copy; the rows themselves when the block has a single
+    copy."""
     if len(shifts) == 1:
         yield from rows
         return
-    split = [[(j, v, j not in own) for j, v in row.items()] for row in rows]
+    split = _split(rows, own)
     for shift in shifts:
         for terms in split:
             yield {j + shift[k]: v for j, v, k in terms}
 
 
-def leibniz_rows(B: GradedTarget, core: tuple[int, ...], grade: int):
-    """Yield the Leibniz system of a shape core at a fixed total grade as
-    sparse rows (unknown index -> coefficient) over the unknowns of
-    `vector_layout`; the coefficients are integers when the structure
-    constants are.  Every constraint block (kappa, i, g) of
-    `_leibniz_blocks` is one template of rows replicated on pairwise
-    disjoint columns, once per choice of the inputs in the other slots
-    and the output coordinates of the slots before and after slot i;
-    this yields every copy of every template row, block by block in
-    the order of `_iter_constraints`, copy by copy within a block.  The
-    full system is the reference for `check_leibniz`.
-
-    The blocks come finest refinement first.  A constraint at kappa
-    involves only kappa and its one-step refinements, and those at the
-    finest refinement form a closed system (each slot a derivation), so
-    the system is triangular over refinements.  Fed in this order, an
-    elimination reduces each coarser row against a complete echelon of
-    the finer blocks instead of storing a partly reduced tail as fill;
-    the row set, and with it the reduced echelon form, is the same in
-    any order."""
-    for template, own, shifts in _leibniz_blocks(B, core, grade):
-        yield from _copies(template, own, shifts)
-
-
 def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEchelon]:
     """The layout of a shape's operators at a total grade and the echelon
     of their Leibniz system, which only this function eliminates.  The
-    system is fed block by block as `leibniz_rows` yields it, but a block
-    with more than one copy has its template eliminated once, in an
-    echelon of its own, and only that echelon's reduced rows are
-    replicated: the copies lie on disjoint columns, so they span the
-    same rows as the copies of the template.  A block with a single copy
+    blocks of `_leibniz_blocks` come finest refinement first: a constraint
+    at kappa involves only kappa and its one-step refinements, and the
+    finest refinement's constraints are closed (each slot a derivation),
+    so each coarser row reduces against a complete echelon of the finer
+    blocks, not a partly reduced tail.  A block with more than one copy
+    has its template eliminated once, in an echelon of its own, and only
+    that echelon's reduced rows are replicated: the copies lie on
+    disjoint columns, so they span the same rows as the copies of the
+    template.  A block with a single copy
     (kappa of one part, so every block of a single-slot shape's coarsest
     refinement and all of shape (1,)) is fed as it is, since eliminating
     its template first would eliminate it twice.  A shape with no
@@ -566,15 +553,21 @@ def solve_Dn(B: GradedTarget, n: int, grade: int = 0) -> list[DiffOperator]:
 
 def check_leibniz(P: DiffOperator) -> bool:
     """The defining invariant: every row of the Leibniz system vanishes on
-    the operator's coordinates.  False when a block lies outside the
-    layout of the shape and grade."""
+    the operator's coordinates.  Each template of `_leibniz_blocks` is
+    evaluated at each copy's shift directly on the coordinates, and the
+    check stops at the first row that does not vanish.  False when a
+    block lies outside the layout of the shape and grade."""
     vec = op_vector(P, vector_layout(P.B, P.shape, P.grade))
     if vec is None:
         return False
     vec = _integral(vec)
-    return not any(
-        sum(v * vec[j] for j, v in row.items() if j in vec) for row in leibniz_rows(P.B, P.core, P.grade)
-    )
+    for template, own, shifts in _leibniz_blocks(P.B, P.core, P.grade):
+        split = _split(template, own)
+        for shift in shifts:
+            for terms in split:
+                if sum(v * vec.get(j + shift[k], 0) for j, v, k in terms):
+                    return False
+    return True
 
 
 def check_mP(P: DiffOperator, d: int) -> bool:
@@ -923,13 +916,16 @@ def symbol_exactness(B: GradedTarget, n: int, grade: int = 0) -> dict:
     every image has zero symbol and lies in D_n (so the images span a
     subspace of K) and the images have rank dim K."""
     fin = (1,) * n
-    layout, fine_layout = vector_layout(B, (n,), grade), vector_layout(B, fin, grade)
-    basis_n = solve_Dn(B, n, grade)
+    layout, ech = _leibniz_echelon(B, (n,), grade)
+    # the finest refinement's blocks close the layout, in the order of
+    # the finest shape's own layout
+    start = layout["blocks"][fin, _gradevecs(n, grade)[0]][0]
+    basis_n = ech.nullspace()
     span_n = SparseEchelon(layout["total"])
-    sym = SparseEchelon(fine_layout["total"])
-    for P in basis_n:
-        span_n.add_row(op_vector(P, layout))
-        sym.add_row(op_vector(symbol(P), fine_layout))
+    sym = SparseEchelon(layout["total"] - start)
+    for vec in basis_n:
+        span_n.add_row(vec)
+        sym.add_row({j - start: v for j, v in vec.items() if j >= start})
     deg = SparseEchelon(layout["total"])
     in_kernel = True
     lower = solve_Dn(B, n - 1, grade)

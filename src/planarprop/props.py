@@ -7,11 +7,12 @@ composition is side by side.  Units: `u` in P(1,1), `u0` in P(0,0).
 
 Text syntax: generators `a#m,n`, `*` horizontal (binds tighter),
 `.` vertical, parentheses.  The parser reads each product as nesting to
-the left and the printer brackets only a vertical product inside a
-horizontal one, so parse_expr(print_expr(e)) == e whenever no product in
-e has a right factor that is a product of the same kind.  Every
-NormalForm.embed() is such an e, so str(nf) parses back to nf.embed()
-whenever the parser reads its generator names.
+the left; the printer brackets a vertical product inside a horizontal
+one and a right factor that is a product of the same kind, so
+parse_expr(print_expr(e)) == e for every well-typed tree e whose
+generator names the parser reads.  A NormalForm.embed() nests to the
+left and has no vertical product inside a horizontal one, so str(nf)
+has no brackets and parses back to nf.embed().
 
 A normal form is a vertical product of layers (u^i o_h a o_h u^j), factor
 1 nearest the outputs, subject to: for all k and l < k,
@@ -132,6 +133,8 @@ def parse_expr(text: str) -> PropExpr:
             e = tokens[idx][1]
             idx += 1
             return e
+        if t is None:
+            raise PropError("unexpected end of expression")
         raise PropError(f"unexpected token {t!r}")
 
     def horizontal() -> PropExpr:
@@ -170,11 +173,14 @@ def print_expr(e: PropExpr) -> str:
             sb = print_expr(b)
             if isinstance(a, VComp):
                 sa = f"({sa})"
-            if isinstance(b, VComp):
+            if isinstance(b, (HComp, VComp)):
                 sb = f"({sb})"
             return f"{sa} * {sb}"
         case VComp(a, b):
-            return f"{print_expr(a)} . {print_expr(b)}"
+            sb = print_expr(b)
+            if isinstance(b, VComp):
+                sb = f"({sb})"
+            return f"{print_expr(a)} . {sb}"
     raise PropError(f"not a prop expression: {e!r}")
 
 

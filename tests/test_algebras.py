@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from planarprop.linalg import Matrix, SparseEchelon, span_rank
 from planarprop.operators import solve_Dn
 
 ALGEBRAS = [dual_numbers, kxk, m2]
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture(params=ALGEBRAS, ids=lambda f: f.__name__)
@@ -124,6 +126,11 @@ def test_json_round_trip(algebra, tmp_path):
     assert (tmp_path / "alg2.json").read_bytes() == p.read_bytes()
 
 
+def mB_apply(B: GradedTarget, gx: int, x, gy: int, y):
+    """The product of x in grade gx and y in grade gy through the junction map."""
+    return B.mB_matrix(gx, gy).apply([xi * yj for xi in x for yj in y])
+
+
 class TestGradedTarget:
     def test_mB_associative_and_unital(self, algebra):
         B = GradedTarget(algebra)
@@ -136,14 +143,14 @@ class TestGradedTarget:
         one = list(algebra.unit)
         for g in range(3):
             x = rand(g)
-            assert B.mB_apply(0, one, g, x) == x
-            assert B.mB_apply(g, x, 0, one) == x
+            assert mB_apply(B, 0, one, g, x) == x
+            assert mB_apply(B, g, x, 0, one) == x
         for g1 in range(2):
             for g2 in range(2):
                 for g3 in range(2):
                     x, y, z = rand(g1), rand(g2), rand(g3)
-                    left = B.mB_apply(g1 + g2, B.mB_apply(g1, x, g2, y), g3, z)
-                    right = B.mB_apply(g1, x, g2 + g3, B.mB_apply(g2, y, g3, z))
+                    left = mB_apply(B, g1 + g2, mB_apply(B, g1, x, g2, y), g3, z)
+                    right = mB_apply(B, g1, x, g2 + g3, mB_apply(B, g2, y, g3, z))
                     assert left == right
 
     def test_insertions_are_junction_products(self, algebra):
@@ -153,8 +160,8 @@ class TestGradedTarget:
         for g in range(3):
             x = algebra.basis_vec(rng.randrange(a))
             v = [Fraction(rng.randint(-2, 2)) for _ in range(a ** (g + 1))]
-            assert B.left_insert(x, g).apply(v) == B.mB_apply(0, x, g, v)
-            assert B.right_insert(x, g).apply(v) == B.mB_apply(g, v, 0, x)
+            assert B.left_insert(x, g).apply(v) == mB_apply(B, 0, x, g, v)
+            assert B.right_insert(x, g).apply(v) == mB_apply(B, g, v, 0, x)
 
 
 class TestHochschild:
@@ -313,37 +320,12 @@ def reference_is_formally_smooth_witness(A: FinAlgebra) -> dict:
     return report
 
 
-def _from_units(n: int, product, unit) -> FinAlgebra:
-    """The algebra on basis 0..n-1 whose basis products product(i, j)
-    returns as a basis index or None (zero)."""
-    mult = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i, j in itertools.product(range(n), repeat=2):
-        k = product(i, j)
-        if k is not None:
-            mult[i][j][k] = Fraction(1)
-    A = FinAlgebra(n, tuple(tuple(tuple(r) for r in p) for p in mult), tuple(Fraction(x) for x in unit))
-    check_algebra(A)
-    return A
-
-
-def truncated_cubic() -> FinAlgebra:
-    """k[x]/(x^3), basis (1, x, x^2)."""
-    return _from_units(3, lambda i, j: i + j if i + j < 3 else None, (1, 0, 0))
-
-
-def upper_triangular() -> FinAlgebra:
-    """Upper triangular 2x2 matrices T2, basis of matrix units E11, E12, E22."""
-    units = [(0, 0), (0, 1), (1, 1)]
-    return _from_units(
-        3, lambda i, j: units.index((units[i][0], units[j][1])) if units[i][1] == units[j][0] else None, (1, 0, 1)
-    )
-
-
 CORPUS = {
     **{name: make for name, make in STANDARD_ALGEBRAS.items()},
     **{f"{name} conj": functools.partial(conjugate, name) for name in STANDARD_ALGEBRAS},
-    "k[x]/(x^3)": truncated_cubic,
-    "T2": upper_triangular,
+    "k[x]/(x^3)": functools.partial(load_algebra, DATA / "kx3.json"),
+    "T2": functools.partial(load_algebra, DATA / "t2.json"),
+    "k[x,y]/(x^2,y^2)": functools.partial(load_algebra, DATA / "kxy2.json"),
 }
 
 
@@ -370,7 +352,7 @@ def test_smoothness_report_matches_reference(name):
     A = CORPUS[name]()
     report = is_formally_smooth_witness(A)
     assert report == reference_is_formally_smooth_witness(A)
-    expected = {"k[x]/(x^3)": False, "T2": True}
+    expected = {"k[x]/(x^3)": False, "T2": True, "k[x,y]/(x^2,y^2)": False}
     if name in expected:
         assert report["feasible"] is expected[name]
 

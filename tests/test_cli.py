@@ -35,6 +35,20 @@ def test_dims_from_spec_file():
     assert json.loads(r.stdout)["dims"][0]["dim"] == 3
 
 
+@pytest.mark.parametrize(
+    "spec, dims",
+    [("kx3", (2, 6, 18)), ("t2", (2, 6, 18)), ("kxy2", (4, 19, 91))],
+    ids=["k[x]/(x^3)", "T2", "k[x,y]/(x^2,y^2)"],
+)
+def test_dims_of_the_corpus_specs(spec, dims, capsys):
+    """Grade-0 dimensions of D_(1), D_(2) and D_(3) read from the spec files."""
+    from planarprop.cli import main
+
+    for order, dim in enumerate(dims, 1):
+        assert main(["dims", "--algebra", str(DATA / f"{spec}.json"), "--order", str(order)]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"] == [{"shape": [order], "grade": 0, "dim": dim}]
+
+
 def test_reports_are_byte_stable():
     a = run_cli("dims", "--algebra", "dualnum", "--order", "2", "--seed", "3")
     b = run_cli("dims", "--algebra", "dualnum", "--order", "2", "--seed", "3")
@@ -193,6 +207,19 @@ def test_normalize_examples():
 def test_normalize_bad_expression_exits_2():
     r = run_cli("normalize", "a#1,2 . b#1,1")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("expr", ["", "a#1,1 .", "(", "a#1,1 * (u ."])
+def test_normalize_an_unfinished_expression_exits_2(expr, capsys):
+    assert "cannot normalize: unexpected end of expression" in _rejected(["normalize", expr], capsys)
+
+
+@pytest.mark.parametrize("expr", ["u * (u * a#1,1)", "a#1,1 . (b#1,1 . c#1,1)"])
+def test_normalize_reports_the_input_tree_it_read(expr, capsys):
+    from planarprop.cli import main
+
+    assert main(["normalize", expr]) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == expr
 
 
 GOOD_GRAPH = {

@@ -7,17 +7,31 @@ assembly and elimination, so they pin the canonical nullspace bit for
 bit.
 """
 
+import collections
 import functools
 import hashlib
+import itertools
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from planarprop import linalg
-from planarprop.algebras import STANDARD_ALGEBRAS, FinAlgebra, GradedTarget, check_algebra, dual_numbers, kxk, m2
+from planarprop.algebras import (
+    STANDARD_ALGEBRAS,
+    FinAlgebra,
+    GradedTarget,
+    check_algebra,
+    dual_numbers,
+    kxk,
+    load_algebra,
+    m2,
+)
 from planarprop.linalg import Matrix
-from planarprop.operators import check_leibniz, leibniz_rows, op_vector, solve_D, vector_layout
+from planarprop.operators import _copies, _leibniz_blocks, check_leibniz, dim_D, op_vector, solve_D, vector_layout
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 # Changes of basis L @ U with L, U unit triangular and off-diagonal
 # entries +-1: determinant 1, so the conjugate keeps integral constants.
@@ -44,6 +58,12 @@ PINNED = {
 }
 # Spaces that are zero on k2 (digest of the empty list).
 ZERO = [("k2", (1,), 0), ("k2", (2,), 0), ("k2", (1, 1), 0), ("k2", (1, 1), 1)]
+
+
+def leibniz_rows(B, core, grade):
+    """The full Leibniz system: every copy of every template row."""
+    for template, own, shifts in _leibniz_blocks(B, core, grade):
+        yield from _copies(template, own, shifts)
 
 
 def conjugate(name: str) -> FinAlgebra:
@@ -145,6 +165,125 @@ def test_leibniz_row_multiset_is_pinned():
     assert rows_digest(target("m2"), (2,), 0) == "c03ce430899fa9eaa98e83eb0ba2a3651c46e2f4dbfdafef548e3a8bcf251ba7"
     dualnum = GradedTarget(dual_numbers())
     assert rows_digest(dualnum, (2, 1), 1) == "17b6e8d0040f86a9d137920dea8d5eca1a1b92a0800e86404f646cb5797017d1"
+
+
+def _compositions(n: int, parts: int | None = None):
+    """Tuples of positive ints summing to n, or of `parts` non-negative
+    ints summing to n."""
+    if parts is None:
+        return [(n,)] + [(x,) + rest for x in range(1, n) for rest in _compositions(n - x)] if n else [()]
+    if parts == 0:
+        return [()] if n == 0 else []
+    return [(x,) + rest for x in range(n + 1) for rest in _compositions(n - x, parts - 1)]
+
+
+def _kron(t: tuple, a: int) -> int:
+    """The position of a tensor coordinate in the Kronecker-ordered basis."""
+    return functools.reduce(lambda acc, x: acc * a + x, t, 0)
+
+
+def definition_system(B: GradedTarget, core: tuple, grade: int):
+    """The unknowns and rows of the Leibniz system, written from its
+    definition with none of the solver's index arithmetic.  An unknown is
+    a key (kappa, g, out, inp): the coefficient of the output tensor
+    coordinate `out` (one tuple over every factor of every slot) in the
+    component at refinement kappa and grade vector g applied to basis
+    inputs `inp`.  For every kappa, slot i, g, other inputs, basis pair
+    (r, s) fed into slot i and output coordinate, the row reads
+
+        P(.., e_r e_s, ..) - e_r P(.., e_s, ..) - P(.., e_r, ..) e_s
+            - sum over splits (x, y) of kappa_i and (h1, h2) of g_i of
+              the junction product of P[kappa'][g'](.., e_r, e_s, ..)
+
+    at that coordinate, with the products taken through `mul_vec`, the
+    actions on slot i's first and last factor through `left_mult` and
+    `right_mult`, and the junction through `mB_matrix`."""
+    A = B.A
+    a = A.dim
+    e = [A.basis_vec(t) for t in range(a)]
+    prod = [[A.mul_vec(e[r], e[s]) for s in range(a)] for r in range(a)]
+    left = [A.left_mult(e[r]).rows for r in range(a)]
+    right = [A.right_mult(e[s]).rows for s in range(a)]
+    refinements = [sum(parts, ()) for parts in itertools.product(*map(_compositions, core))]
+    unknowns = [
+        (kappa, g, out, inp)
+        for kappa in refinements
+        for g in _compositions(grade, len(kappa))
+        for out in itertools.product(range(a), repeat=grade + len(kappa))
+        for inp in itertools.product(range(a), repeat=len(kappa))
+    ]
+
+    rows = []
+    for kappa in refinements:
+        d = len(kappa)
+        for g in _compositions(grade, d):
+            for i in range(d):
+                lo = sum(gj + 1 for gj in g[:i])
+                hi = lo + g[i] + 1  # slot i's output factors are out[lo:hi]
+                for rest, r, s, out in itertools.product(
+                    itertools.product(range(a), repeat=d - 1), range(a), range(a),
+                    itertools.product(range(a), repeat=grade + d),
+                ):
+                    def inp(*fed):
+                        return rest[:i] + fed + rest[i:]
+
+                    def at(j, factor):
+                        return out[:factor] + (j,) + out[factor + 1 :]
+
+                    row = collections.Counter()
+                    for k in range(a):
+                        row[kappa, g, out, inp(k)] += prod[r][s][k]
+                        row[kappa, g, at(k, lo), inp(s)] -= left[r][out[lo]][k]
+                        row[kappa, g, at(k, hi - 1), inp(r)] -= right[s][out[hi - 1]][k]
+                    for x in range(1, kappa[i]):
+                        kp = kappa[:i] + (x, kappa[i] - x) + kappa[i + 1 :]
+                        for h1 in range(g[i] + 1):
+                            gp = g[:i] + (h1, g[i] - h1) + g[i + 1 :]
+                            junction = B.mB_matrix(h1, g[i] - h1).rows[_kron(out[lo:hi], a)]
+                            for uv in itertools.product(range(a), repeat=g[i] + 2):
+                                row[kp, gp, out[:lo] + uv + out[hi:], inp(r, s)] -= junction[_kron(uv, a)]
+                    rows.append({key: v for key, v in row.items() if v})
+    return unknowns, rows
+
+
+DEFINITION_CASES = [
+    (name, kind, shape, grade)
+    for name in sorted(CHANGE_OF_BASIS)
+    for kind in ("std", "conj")
+    for shape, grade in [((1,), 0), ((2,), 0), ((1, 1), 0), ((1,), 1)]
+] + [("kxy2", "spec", (2,), 0)]
+
+
+@pytest.mark.parametrize("case", DEFINITION_CASES, ids=str)
+def test_definition_system_agrees_with_the_solver(case):
+    """The rank of the system written from the definition gives `dim_D`,
+    and every basis operator of `solve_D` satisfies its rows, so both
+    solver routes, which read the same templates, give its solution
+    space."""
+    from test_linalg import ReferenceEchelon  # test_linalg imports this module
+
+    name, kind, shape, grade = case
+    if kind == "spec":
+        B = GradedTarget(load_algebra(DATA / f"{name}.json"))
+    else:
+        B = target(name) if kind == "conj" else GradedTarget(STANDARD_ALGEBRAS[name]())
+    unknowns, rows = definition_system(B, shape, grade)
+    column = {key: j for j, key in enumerate(unknowns)}
+    assert len(column) == len(unknowns) == vector_layout(B, shape, grade)["total"]
+    ech = ReferenceEchelon(len(unknowns))
+    # the rows come coarsest refinement first; the finest first reduce
+    # an order of magnitude faster and have the same rank
+    for row in reversed(rows):
+        ech.add_row({column[key]: Fraction(v) for key, v in row.items()})
+    assert len(unknowns) - len(ech.pivot_rows) == dim_D(B, shape, grade)
+    a = B.A.dim
+    for P in solve_D(B, shape, grade):
+
+        def coordinate(kappa, g, out, inp):
+            M = P.block(kappa, g)
+            return M.rows[_kron(out, a)][_kron(inp, a)] if M else 0
+
+        assert not any(sum(v * coordinate(*key) for key, v in row.items()) for row in rows)
 
 
 # Row reductions (`linalg._eliminate` calls) of one solve_D at an order,

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from planarprop.algebras import STANDARD_ALGEBRAS, GradedTarget
 from planarprop.linalg import Q0, Q1, Matrix, SparseEchelon, _eliminate, _integral, in_span, span_rank
-from planarprop.operators import _leibniz_echelon, leibniz_rows, vector_layout
-from test_leibniz import target
+from planarprop.operators import _leibniz_echelon, vector_layout
+from test_leibniz import leibniz_rows, target
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 

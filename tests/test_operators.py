@@ -2,12 +2,13 @@
 symbols."""
 
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from planarprop.algebras import GradedTarget, dual_numbers, kxk, m2
+from planarprop.algebras import GradedTarget, dual_numbers, kxk, load_algebra, m2
 from planarprop.linalg import Matrix
 from planarprop.operators import (
     DiffOperator,
@@ -379,6 +380,23 @@ class TestSymbolExactness:
         name, n, grade = case
         res = symbol_exactness(targets[name], n, grade)
         assert tuple(res[k] for k in SYMBOL_KEYS) == SYMBOL_TABLE[case]
+
+    def test_is_not_surjective_on_a_non_smooth_algebra(self):
+        """k[x,y]/(x^2,y^2) is not formally smooth, and its order-2 symbol
+        misses one of the 16 dimensions of D_(1,1) = Der (x) Der.  The
+        19-dimensional D_2 it is read from is also the kernel of the
+        system written from the definition (tests/test_leibniz.py).  At
+        order 3 the degeneracies of D_2 span 34 of the 35-dimensional
+        kernel of the symbol."""
+        B = GradedTarget(load_algebra(pathlib.Path(__file__).parent / "data" / "kxy2.json"))
+        expected = {
+            1: (4, 4, 4, True, 0, 0, True),
+            2: (19, 16, 15, False, 4, 4, True),
+            3: (91, 64, 56, False, 34, 35, False),
+        }
+        for n, row in expected.items():
+            res = symbol_exactness(B, n, 0)
+            assert tuple(res[k] for k in SYMBOL_KEYS) == row
 
 
 @pytest.mark.parametrize("name", ["dualnum", "k2", "m2"])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +77,33 @@ class TestParsing:
         for text in ["a#2,1", "u", "u0", "a#1,2 * u", "a#1,1 . b#1,1", "(a#1,1 * u) . (u * a#1,1)"]:
             e = parse_expr(text)
             assert parse_expr(print_expr(e)) == e
+
+    def test_round_trip_on_random_trees(self):
+        """Right factors that are products of the same kind, which the
+        parser alone would nest to the left, come back bracketed."""
+        for text in ["u * (u * a#1,1)", "a#1,1 . (b#1,1 . c#1,1)", "u0 * (u0 * (u * u))"]:
+            e = parse_expr(text)
+            assert print_expr(e) == text
+            assert parse_expr(print_expr(e)) == e
+
+        def right_nested(e):
+            match e:
+                case HComp(a, b) | VComp(a, b):
+                    return (type(b) is type(e)) + right_nested(a) + right_nested(b)
+            return 0
+
+        rng = random.Random(8)
+        nested = 0
+        for _ in range(500):
+            e = random_expr(rng)
+            wrap = rng.randrange(3)
+            if wrap == 1:
+                e = HComp(rng.choice([Unit(), HUnit()]), e)
+            elif wrap == 2:
+                e = VComp(reduce(HComp, [Unit()] * arity(e)[0]), e)
+            assert parse_expr(print_expr(e)) == e
+            nested += right_nested(e) > 0
+        assert nested >= 100
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(PropError):
