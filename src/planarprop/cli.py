@@ -94,16 +94,6 @@ def _read_algebra(spec: str) -> tuple[FinAlgebra, str]:
     return A, digest
 
 
-def _load_algebra(spec: str) -> tuple[FinAlgebra, str]:
-    """The algebra a spec names and its digest, checked once."""
-    A, digest = _read_algebra(spec)
-    try:
-        check_algebra(A)
-    except AlgebraError as e:
-        raise CliError(f"algebra spec {spec!r} is invalid: {e}")
-    return A, digest
-
-
 def _shape(args) -> tuple[int, ...]:
     """The shape a command names by exactly one of --order n, read as
     (n,), and --shape, comma-separated integers."""
@@ -130,40 +120,30 @@ def _emit(report: dict, args) -> None:
         raise CliError(f"cannot write report: {e}")
 
 
-def _header(args, algebra_hash: str | None = None) -> dict:
-    h = {"version": __version__, "seed": args.seed}
-    if algebra_hash is not None:
-        h["algebra_hash"] = algebra_hash
-    return h
+# Each command takes the parsed arguments and the checked algebra (None for
+# a command without --algebra, unchecked for verify) and returns its own
+# report fields and its exit code, 0 or 1; `main` alone writes the report.
 
 
-def cmd_dims(args) -> int:
-    A, digest = _load_algebra(args.algebra)
+def cmd_dims(args, A) -> tuple[dict, int]:
     shape = _shape(args)
     dim = dim_D(GradedTarget(A), shape, args.grade)
-    report = _header(args, digest)
-    report["dims"] = [{"shape": list(shape), "grade": args.grade, "dim": dim}]
-    _emit(report, args)
-    return 0
+    return {"dims": [{"shape": list(shape), "grade": args.grade, "dim": dim}]}, 0
 
 
-def cmd_solve(args) -> int:
-    A, digest = _load_algebra(args.algebra)
+def cmd_solve(args, A) -> tuple[dict, int]:
     shape = _shape(args)
     basis = solve_D(GradedTarget(A), shape, args.grade)
-    report = _header(args, digest)
-    report["shape"] = list(shape)
-    report["grade"] = args.grade
-    report["dim"] = len(basis)
-    report["basis"] = [P.to_json() for P in basis]
-    _emit(report, args)
-    return 0
+    return {
+        "shape": list(shape),
+        "grade": args.grade,
+        "dim": len(basis),
+        "basis": [P.to_json() for P in basis],
+    }, 0
 
 
-def cmd_compose(args) -> int:
-    A, digest = _load_algebra(args.algebra)
-    B = GradedTarget(A)
-    load = functools.partial(DiffOperator.from_json, B)
+def cmd_compose(args, A) -> tuple[dict, int]:
+    load = functools.partial(DiffOperator.from_json, GradedTarget(A))
     P, Q = (_load_json(path, "operator", load) for path in (args.left, args.right))
     try:
         if args.mode == "h":
@@ -174,75 +154,53 @@ def cmd_compose(args) -> int:
             out = compose_D(P, Q)
     except OperatorError as e:
         raise CliError(f"cannot compose: {e}")
-    report = _header(args, digest)
-    report["mode"] = args.mode
-    report["result"] = out.to_json()
-    report["leibniz"] = check_leibniz(out)
-    _emit(report, args)
-    return 0
+    return {"mode": args.mode, "result": out.to_json(), "leibniz": check_leibniz(out)}, 0
 
 
-def cmd_symbol(args) -> int:
-    A, digest = _load_algebra(args.algebra)
-    B = GradedTarget(A)
+def cmd_symbol(args, A) -> tuple[dict, int]:
     if args.order is None or args.order < 1:
         raise CliError("symbol requires --order of at least 1")
-    res = symbol_exactness(B, args.order, args.grade)
-    report = _header(args, digest)
-    report["order"] = args.order
-    report.update(res)
-    _emit(report, args)
-    return 0
+    return {"order": args.order, **symbol_exactness(GradedTarget(A), args.order, args.grade)}, 0
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args, A) -> tuple[dict, int]:
     try:
         expr = parse_expr(args.expr)
         nf = normalize(expr)
-        shown = print_expr(expr), str(nf)
+        fields = {"input": print_expr(expr), "normal_form": str(nf)}
     except PropError as e:
         raise CliError(f"cannot normalize: {e}")
     except RecursionError:
         raise CliError("cannot normalize: expression nested too deeply")
-    report = _header(args)
-    report["input"], report["normal_form"] = shown
-    report["layers"] = [
+    fields["layers"] = [
         {"left": i, "name": g.name, "outputs": g.n_out, "inputs": g.n_in, "right": j}
         for (i, g, j) in nf.layers
     ]
-    _emit(report, args)
-    return 0
+    return fields, 0
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args, A) -> tuple[dict, int]:
     G = _load_json(args.file, "graph", PlanarGraph.from_json)
     try:
         G.validate()
     except GraphError as e:
         raise CliError(f"cannot load graph: {e}")
-    report = _header(args)
     try:
         order, layers, frontiers = G.level_embed(backtrack=args.backtrack_planarity)
     except NotPlanar as e:
-        report["planar"] = False
-        report["diagnostic"] = str(e)
-        report["frontier_trace"] = [
-            [list(h) for h in fr] for fr in getattr(e, "frontiers", [])
-        ]
-        _emit(report, args)
-        return 1
+        trace = [[list(h) for h in fr] for fr in getattr(e, "frontiers", [])]
+        return {"planar": False, "diagnostic": str(e), "frontier_trace": trace}, 1
     except GraphError as e:
         raise CliError(f"cannot embed graph: {e}")
-    report["planar"] = True
-    report["order"] = order
-    report["genus"] = G.genus()
-    report["layers"] = [{"left": i, "vertex": v, "right": j} for (i, v, j) in layers]
-    _emit(report, args)
-    return 0
+    return {
+        "planar": True,
+        "order": order,
+        "genus": G.genus(),
+        "layers": [{"left": i, "vertex": v, "right": j} for (i, v, j) in layers],
+    }, 0
 
 
-def cmd_aut_build(args) -> int:
-    A, digest = _load_algebra(args.algebra)
+def cmd_aut_build(args, A) -> tuple[dict, int]:
     if args.order < 1:
         raise CliError("aut-build requires --order of at least 1")
     if args.order > 3:
@@ -250,58 +208,53 @@ def cmd_aut_build(args) -> int:
     B = GradedTarget(A)
     lifts = derivation_lifts(B)[2]
     if lifts is None:
-        raise CliError("derivation lift infeasible for this algebra", code=1)
+        return {"lift_feasible": False}, 1
     phi = from_derivations(B, lifts, N=args.order)
     ok, where = validate_aut(phi)
-    report = _header(args, digest)
-    report["letters"] = len(lifts)
-    report["valid"] = ok
+    fields = {"letters": len(lifts), "valid": ok, "family": phi.to_json()}
     if not ok:
         w, i, j = where
-        report["counterexample"] = {"word": list(w), "i": i, "j": j}
-    report["family"] = phi.to_json()
-    _emit(report, args)
-    return 0 if ok else 1
+        fields["counterexample"] = {"word": list(w), "i": i, "j": j}
+    return fields, 0 if ok else 1
 
 
-def cmd_aut_probe(args) -> int:
-    A, digest = _load_algebra(args.algebra)
-    if args.order is None or args.order > 2:
+def cmd_aut_probe(args, A) -> tuple[dict, int]:
+    if not args.order or args.order > 2:
         raise CliError("probe requires --order 1 or 2", code=3 if args.order else 2)
     res = surjectivity_probe(A, args.order)
-    report = _header(args, digest)
-    report.update(res)
-    _emit(report, args)
-    return 0 if res.get("spanned") else 1
+    return res, 0 if res.get("spanned") else 1
 
 
-def cmd_verify(args) -> int:
-    A, digest = _read_algebra(args.algebra)
-    rng = random.Random(args.seed)
+def cmd_verify(args, A) -> tuple[dict, int]:
     results = []
-
-    def record(name: str, ok: bool, detail=None):
+    for name, ok, detail in _invariants(A, random.Random(args.seed)):
         entry = {"invariant": name, "pass": bool(ok)}
         if detail is not None and not ok:
             entry["counterexample"] = detail
         results.append(entry)
+    all_pass = all(r["pass"] for r in results)
+    return {"results": results, "all_pass": all_pass}, 0 if all_pass else 1
 
+
+def _invariants(A: FinAlgebra, rng):
+    """(name, holds, counterexample or None) of each invariant suite run
+    on an algebra that has not been checked yet."""
     try:
         check_algebra(A)
     except AlgebraError as e:
         # the other invariants presuppose an associative unital algebra
-        record("algebra_associative_unital", False, str(e))
-        return _verify_report(args, digest, results)
-    record("algebra_associative_unital", True)
+        yield "algebra_associative_unital", False, str(e)
+        return
+    yield "algebra_associative_unital", True, None
 
     B = GradedTarget(A)
     basis1 = solve_Dn(B, 1, 0)
-    record("derivations_satisfy_leibniz", all(check_leibniz(P) for P in basis1))
+    yield "derivations_satisfy_leibniz", all(check_leibniz(P) for P in basis1), None
     max_n = 2 if A.dim > 2 else 3
     bases = {n: solve_Dn(B, n, 0) for n in range(2, max_n + 1)}
     for n, basis in bases.items():
-        record(f"order_{n}_leibniz", all(check_leibniz(P) for P in basis))
-        record(f"order_{n}_collapse", all(check_mP(P, 2) for P in basis))
+        yield f"order_{n}_leibniz", all(check_leibniz(P) for P in basis), None
+        yield f"order_{n}_collapse", all(check_mP(P, 2) for P in basis), None
     pool = basis1 + bases[2]
     ok_c = True
     for _ in range(10):
@@ -313,11 +266,11 @@ def cmd_verify(args) -> int:
         lhs = v_compose(h_compose(a, unit_operator(B, qb)), h_compose(unit_operator(B, qa), b))
         if lhs != h_compose(a, b):
             ok_c = False
-    record("compatibility_relation", ok_c)
+    yield "compatibility_relation", ok_c, None
 
     swap = Matrix.zeros(4, 4)
     swap.rows[0][0] = swap.rows[1][2] = swap.rows[2][1] = swap.rows[3][3] = Fraction(1)
-    record("braid_swap", braid_check(swap, 2))
+    yield "braid_swap", braid_check(swap, 2), None
 
     P = EndProp(2)
     exprs_ok = True
@@ -341,16 +294,7 @@ def cmd_verify(args) -> int:
         rhs = eval_nf(nf, P, labels)
         if not P.equal(lhs, rhs):
             exprs_ok = False
-    record("normal_form_soundness", exprs_ok)
-    return _verify_report(args, digest, results)
-
-
-def _verify_report(args, digest: str, results: list[dict]) -> int:
-    report = _header(args, digest)
-    report["results"] = results
-    report["all_pass"] = all(r["pass"] for r in results)
-    _emit(report, args)
-    return 0 if report["all_pass"] else 1
+    yield "normal_form_soundness", exprs_ok, None
 
 
 def _random_expr(rng, depth: int):
@@ -423,19 +367,31 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its report, headed by the version, the
+    seed and the algebra's digest, on exit 0 and 1; on exit 2 and 3 write
+    one `error:` line and no report."""
     try:
         args = _parser().parse_args(argv)
         for flag in ("order", "grade"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise CliError(f"--{flag} must be non-negative, got {value}")
-        return args.func(args)
-    except CliError as e:
+        report = {"version": __version__, "seed": args.seed}
+        A = None
+        if "algebra" in args:
+            A, report["algebra_hash"] = _read_algebra(args.algebra)
+            if args.command != "verify":  # verify reports the check as one of its results
+                try:
+                    check_algebra(A)
+                except AlgebraError as e:
+                    raise CliError(f"algebra spec {args.algebra!r} is invalid: {e}")
+        fields, code = args.func(args, A)
+        report.update(fields)
+        _emit(report, args)
+        return code
+    except (CliError, FamilyError) as e:
         sys.stderr.write(f"error: {e}\n")
-        return e.code
-    except FamilyError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 3 if "truncation" in str(e) else 2
+        return e.code if isinstance(e, CliError) else 2
 
 
 if __name__ == "__main__":

@@ -308,14 +308,18 @@ class SparseEchelon:
     def nullspace(self) -> list[dict[int, Fraction]]:
         """One sparse kernel vector (index -> nonzero entry, in increasing
         index order) per free column, free columns in increasing order:
-        the free column j carries 1, and each pivot column the negated
-        entry at j of its RREF row."""
-        rref = self.rref()
-        basis: dict[int, dict[int, Fraction]] = {j: {} for j in range(self.ncols) if j not in rref}
-        for pc, prow in rref.items():
-            for j, c in prow.items():
+        the free column j carries 1, and each pivot column pc the negated
+        entry at j of its RREF row, -row[j]/row[pc], read off the integer
+        pivot row.  The echelon is fully reduced, so every other entry of
+        a pivot row sits at a free column."""
+        rows = self.pivot_rows
+        basis: dict[int, dict[int, Fraction]] = {j: {} for j in range(self.ncols) if j not in rows}
+        for pc in sorted(rows):
+            row = rows[pc]
+            p = row[pc]
+            for j, v in row.items():
                 if j != pc:
-                    basis[j][pc] = -c
+                    basis[j][pc] = Fraction(-v, p)
         for j, v in basis.items():
             v[j] = Q1
         return list(basis.values())

@@ -554,14 +554,19 @@ def solve_Dn(B: GradedTarget, n: int, grade: int = 0) -> list[DiffOperator]:
 def check_leibniz(P: DiffOperator) -> bool:
     """The defining invariant: every row of the Leibniz system vanishes on
     the operator's coordinates.  Each template of `_leibniz_blocks` is
-    evaluated at each copy's shift directly on the coordinates, and the
-    check stops at the first row that does not vanish.  False when a
-    block lies outside the layout of the shape and grade."""
+    evaluated at each copy's shift directly on the coordinates (a block
+    with one copy is its template, read as it is), and the check stops at
+    the first row that does not vanish.  False when a block lies outside
+    the layout of the shape and grade."""
     vec = op_vector(P, vector_layout(P.B, P.shape, P.grade))
     if vec is None:
         return False
     vec = _integral(vec)
     for template, own, shifts in _leibniz_blocks(P.B, P.core, P.grade):
+        if len(shifts) == 1:
+            if any(sum(v * vec.get(j, 0) for j, v in row.items()) for row in template):
+                return False
+            continue
         split = _split(template, own)
         for shift in shifts:
             for terms in split:

@@ -153,26 +153,10 @@ def merge(lam: MonotoneMap, mu: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap, 
 
 def star_dual(mu: MonotoneMap) -> MonotoneMap:
     """The bijection Lambda_q(p-1) ~ Lambda_p(q-1): for mu: [p-1] -> [q],
-    mu*(i) = j iff mu(j-1) <= i < mu(j), with mu(0) = 0, mu(p) = q+1."""
-    p = mu.dom + 1
-    q = mu.cod
-
-    def ext(j: int) -> int:
-        if j == 0:
-            return 0
-        if j == p:
-            return q + 1
-        return mu.values[j - 1]
-
-    vals = []
-    for i in range(1, q):
-        for j in range(1, p + 1):
-            if ext(j - 1) <= i < ext(j):
-                vals.append(j)
-                break
-        else:
-            raise OrdinalError("star_dual: no value found (malformed input)")
-    return MonotoneMap(q - 1, p, tuple(vals))
+    mu*(i) = j iff mu(j-1) <= i < mu(j), with mu(0) = 0, mu(p) = q+1; as
+    mu is monotone, that j is 1 + #{t : mu(t) <= i}."""
+    vals = tuple(1 + sum(v <= i for v in mu.values) for i in range(1, mu.cod))
+    return MonotoneMap(mu.cod - 1, mu.dom + 1, vals)
 
 
 def star_dual_epi(rho: MonotoneMap) -> MonotoneMap:

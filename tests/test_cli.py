@@ -229,6 +229,13 @@ GOOD_GRAPH = {
     "outputs": [[0, "out", 1]],
 }
 
+CROSSING_GRAPH = {
+    "vertices": [{"in": 1, "out": 1, "genus": 0}] * 4,
+    "edges": [[[2, "out", 1], [1, "in", 1]], [[3, "out", 1], [0, "in", 1]]],
+    "inputs": [[2, "in", 1], [3, "in", 1]],
+    "outputs": [[0, "out", 1], [1, "out", 1]],
+}
+
 
 def test_graph_planar_and_not(tmp_path):
     gf = tmp_path / "good.json"
@@ -239,14 +246,8 @@ def test_graph_planar_and_not(tmp_path):
     assert report["planar"] is True
     assert report["genus"] == 1
 
-    crossing = {
-        "vertices": [{"in": 1, "out": 1, "genus": 0}] * 4,
-        "edges": [[[2, "out", 1], [1, "in", 1]], [[3, "out", 1], [0, "in", 1]]],
-        "inputs": [[2, "in", 1], [3, "in", 1]],
-        "outputs": [[0, "out", 1], [1, "out", 1]],
-    }
     cf = tmp_path / "crossing.json"
-    cf.write_text(json.dumps(crossing))
+    cf.write_text(json.dumps(CROSSING_GRAPH))
     r = run_cli("graph", str(cf), "--backtrack-planarity")
     assert r.returncode == 1
     report = json.loads(r.stdout)
@@ -415,13 +416,18 @@ def test_algebra_is_checked_once_per_load(argv, monkeypatch, capsys):
     assert len(checked) == 1
 
 
-def test_verify_reports_a_non_associative_spec(tmp_path, capsys):
-    from planarprop.cli import main
-
+def _non_associative_spec(tmp_path):
     spec = json.loads((DATA / "dualnum.json").read_text())
     spec["mult"][1][0][0] = "1"  # x * 1 = 1 + x
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
+    return path
+
+
+def test_verify_reports_a_non_associative_spec(tmp_path, capsys):
+    from planarprop.cli import main
+
+    path = _non_associative_spec(tmp_path)
     assert main(["verify", "--algebra", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["all_pass"] is False
@@ -445,6 +451,100 @@ def test_aut_build_reports_its_counterexample(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["valid"] is False
     assert report["counterexample"] == {"word": [0, 1], "i": 2, "j": 3}
+
+
+@pytest.mark.parametrize("algebra", ["dualnum", str(DATA / "kx3.json")], ids=["dualnum", "k[x]/(x^3)"])
+def test_aut_build_reports_an_infeasible_lift(algebra, capsys):
+    from planarprop import __version__, cli
+
+    assert cli.main(["aut-build", "--algebra", algebra, "--seed", "4"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == ""
+    assert report == {
+        "version": __version__,
+        "seed": 4,
+        "algebra_hash": cli._read_algebra(algebra)[1],
+        "lift_feasible": False,
+    }
+
+
+def test_aut_probe_order_zero_exits_2_before_any_solve(monkeypatch, capsys):
+    from planarprop import cli
+
+    monkeypatch.setattr(cli, "surjectivity_probe", None)  # never reached
+    err = _rejected(["aut-probe", "--algebra", "m2", "--order", "0"], capsys)
+    assert err == "error: probe requires --order 1 or 2\n"
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+# (argv, exit code, cli attributes to replace): one case per subcommand that
+# exits 0, and every way a subcommand exits 1; the strings GOOD, CROSSING and
+# NON_ASSOCIATIVE stand for files written by the test
+REPORTED = [
+    (["dims", "--algebra", "k2", "--order", "1"], 0, {}),
+    (["solve", "--algebra", "dualnum", "--order", "1"], 0, {}),
+    (["compose", "--algebra", "dualnum", "P", "P", "--mode", "h"], 0, {}),
+    (["symbol", "--algebra", "dualnum", "--order", "1"], 0, {}),
+    (["verify", "--algebra", "k2"], 0, {}),
+    (["normalize", "a#1,1 * b#1,1"], 0, {}),
+    (["graph", "GOOD"], 0, {}),
+    (["aut-build", "--algebra", "k2", "--order", "1"], 0, {}),
+    (["aut-probe", "--algebra", "m2", "--order", "1"], 0, {}),
+    (["graph", "CROSSING"], 1, {}),
+    (["verify", "--algebra", "NON_ASSOCIATIVE"], 1, {}),
+    (["aut-build", "--algebra", "k2", "--order", "1"], 1, {"validate_aut": lambda phi: (False, ((0,), 0, 0))}),
+    (["aut-build", "--algebra", "dualnum"], 1, {}),
+    (["aut-probe", "--algebra", "dualnum", "--order", "1"], 1, {}),
+]
+
+
+def test_every_subcommand_has_a_reported_case():
+    import argparse
+
+    from planarprop.cli import _parser
+
+    (commands,) = [a.choices for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv, code, _ in REPORTED if code == 0} == set(commands)
+
+
+@pytest.mark.parametrize("argv, code, patch", REPORTED, ids=[f"{' '.join(a)} -> {c}" for a, c, _ in REPORTED])
+def test_exit_0_and_1_write_the_report_to_out_and_nothing_else(operator_files, argv, code, patch, tmp_path, monkeypatch, capsys):
+    from planarprop import cli
+
+    for name, value in patch.items():
+        monkeypatch.setattr(cli, name, value)
+    files = {
+        **operator_files,
+        "GOOD": _write(tmp_path, "good.json", GOOD_GRAPH),
+        "CROSSING": _write(tmp_path, "crossing.json", CROSSING_GRAPH),
+        "NON_ASSOCIATIVE": str(_non_associative_spec(tmp_path)),
+    }
+    out = tmp_path / "report.json"
+    assert cli.main([*(files.get(x, x) for x in argv), "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", "")
+    report = json.loads(out.read_text())
+    assert report["version"] == cli.__version__ and report["seed"] == 0
+    assert ("algebra_hash" in report) == ("--algebra" in argv)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["dims", "--algebra", "k2", "--order", "1", "--grade", "-1"], 2), (["aut-build", "--algebra", "k2", "--order", "4"], 3)],
+)
+def test_exit_2_and_3_write_no_report(argv, code, tmp_path, capsys):
+    from planarprop.cli import main
+
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == code
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ")
 
 
 def _basis_operator(path, argv, k):

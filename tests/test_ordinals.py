@@ -109,6 +109,49 @@ def test_star_dual_order_reversing():
                         assert all(a >= b for a, b in zip(dm.values, dn.values))
 
 
+def reference_star_dual(mu):
+    """star_dual as a search: mu*(i) is the j with mu(j-1) <= i < mu(j),
+    where mu(0) = 0 and mu(p) = q+1."""
+    p = mu.dom + 1
+    q = mu.cod
+
+    def ext(j):
+        if j == 0:
+            return 0
+        if j == p:
+            return q + 1
+        return mu.values[j - 1]
+
+    vals = []
+    for i in range(1, q):
+        for j in range(1, p + 1):
+            if ext(j - 1) <= i < ext(j):
+                vals.append(j)
+                break
+        else:
+            raise OrdinalError("star_dual: no value found (malformed input)")
+    return MonotoneMap(q - 1, p, tuple(vals))
+
+
+def _outcome(f, mu):
+    try:
+        return f(mu)
+    except OrdinalError as e:
+        return str(e)
+
+
+def test_star_dual_agrees_with_the_search():
+    # every monotone map [m] -> [n] with m, n <= 5: the same map or the same error
+    maps = [mu for m in range(6) for n in range(6) for mu in all_monotone_maps(m, n)]
+    assert len(maps) == sum(comb(m + n - 1, m) if n else m == 0 for m in range(6) for n in range(6))
+    errors = 0
+    for mu in maps:
+        got = _outcome(star_dual, mu)
+        assert got == _outcome(reference_star_dual, mu), mu
+        errors += isinstance(got, str)
+    assert errors == 1  # [0] -> [0] has no dual [-1] -> [1]
+
+
 def test_star_dual_epi_image_is_cut_set():
     for m in range(1, 7):
         for n in range(1, m + 1):
