@@ -204,7 +204,10 @@ class GradedTarget:
         junction map; `check_mP` (its d-fold product and its
         collapses), `validate_aut`, `hochschild_d` and the A^e action of
         `is_formally_smooth_witness` all multiply adjacent legs through
-        it, built once per (g, h) and target."""
+        it, and `validate_aut`, `lift_derivation` and
+        `surjectivity_probe` read the multiplication m itself as
+        mB(0, 0).  It is built once per (g, h) and target and shared, so
+        no caller writes into it, through `.rows` or otherwise."""
         key = (g, h)
         if key not in self._mB_cache:
             a = self.A.dim

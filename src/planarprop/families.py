@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 
 from .algebras import FinAlgebra, GradedTarget
-from .linalg import Matrix, format_rationals, span_rank
+from .linalg import Q0, Matrix, SparseEchelon, _int_rows
 from .operators import DiffOperator, solve_Dn, unit_operator
 from .ordinals import MonotoneMap
 from .partitions import compositions
@@ -70,7 +70,7 @@ class AutFamily:
             "alphabet": self.n_letters,
             "truncation": self.N,
             "maps": [
-                {"word": list(w), "matrix": format_rationals(m.rows)}
+                {"word": list(w), "matrix": m.text()}
                 for w, m in sorted(self.maps.items(), key=lambda t: (len(t[0]), t[0]))
             ],
         }
@@ -86,7 +86,7 @@ def validate_aut(phi: AutFamily) -> tuple[bool, tuple | None]:
     (word, i, j)), the basis pair read off the first column that differs."""
     B = phi.B
     a = B.A.dim
-    mm = B.A.mult_matrix()
+    mm = B.mB_matrix(0, 0)
     for w in _words(phi.n_letters, phi.N):
         k = len(w)
         lhs = phi.word_map(w) @ mm
@@ -112,7 +112,9 @@ def is_double_derivation(B: GradedTarget, mat: Matrix) -> bool:
     for i, ei in enumerate(basis):
         for j, ej in enumerate(basis):
             lhs = mat.apply(A.mul_vec(ei, ej))
-            if lhs != [x + y for x, y in zip(rights[j].apply(cols[i]), lefts[i].apply(cols[j]))]:
+            # apply gives zeros as the shared Q0: most terms skip the sum
+            rhs = zip(rights[j].apply(cols[i]), lefts[i].apply(cols[j]))
+            if lhs != [y if x is Q0 else x if y is Q0 else x + y for x, y in rhs]:
                 return False
     return True
 
@@ -120,11 +122,15 @@ def is_double_derivation(B: GradedTarget, mat: Matrix) -> bool:
 def from_derivations(B: GradedTarget, ders: list[Matrix], N: int = 3) -> AutFamily:
     """The family with phi_w the iterated rightmost application of the
     double derivations indexed by the letters of w: each word's map is
-    its last letter applied to the last factor of its prefix's map."""
+    its last letter applied to the last factor of its prefix's map.
+    Raises FamilyError naming the first letter that is not an a^2 x a
+    matrix or not a double derivation."""
     a = B.A.dim
-    for d in ders:
+    for t, d in enumerate(ders):
+        if (d.nrows, d.ncols) != (a * a, a):
+            raise FamilyError(f"letter {t} is a {d.nrows}x{d.ncols} matrix, expected {a * a}x{a}")
         if not is_double_derivation(B, d):
-            raise FamilyError("input map is not a double derivation")
+            raise FamilyError(f"letter {t} is not a double derivation")
     maps = {}
     for w in _words(len(ders), N):
         if len(w) == 1:
@@ -144,16 +150,20 @@ def units_inserted(B: GradedTarget, mat: Matrix, fiber_sizes) -> Matrix:
     extra = sum(s - 1 for s in fiber_sizes)
     if extra == 0:
         return mat
-    uvec = [Fraction(x) for x in B.A.unit]
+    # the unit as integers over du: each output entry is a stored entry
+    # times a product of `extra` unit coordinates, over den * du^extra
+    du, (ucols,), (unums,) = _int_rows([B.A.unit])
+    unit = dict(zip(ucols, unums))
     # slot layout: factor 0, then per letter (s_t - 1) units and factor t
     is_unit = [False]
     for s in fiber_sizes:
         is_unit.extend([True] * (s - 1))
         is_unit.append(False)
-    out = Matrix.zeros(a ** (k + 1 + extra), mat.ncols)
-    for row in range(mat.nrows):
-        rowvals = mat.rows[row]
-        if not any(rowvals):
+    den, mcols, mnums = mat.form()
+    nrows = a ** (k + 1 + extra)
+    cols, nums = [()] * nrows, [()] * nrows
+    for row, (c, n) in enumerate(zip(mcols, mnums)):
+        if not c:
             continue
         digits = []
         r = row
@@ -161,21 +171,18 @@ def units_inserted(B: GradedTarget, mat: Matrix, fiber_sizes) -> Matrix:
             digits.append(r % a)
             r //= a
         digits.reverse()
-        for zdig in itertools.product(range(a), repeat=extra):
-            coeff = Fraction(1)
-            for z, d in enumerate(zdig):
-                coeff *= uvec[d]
-            if not coeff:
-                continue
+        for zdig in itertools.product(unit, repeat=extra):
+            coeff = 1
+            for d in zdig:
+                coeff *= unit[d]
             rp = 0
             di = iter(digits)
             zi = iter(zdig)
             for flag in is_unit:
                 rp = rp * a + (next(zi) if flag else next(di))
-            for c, v in enumerate(rowvals):
-                if v:
-                    out.rows[rp][c] += coeff * v
-    return out
+            cols[rp] = c
+            nums[rp] = n if coeff == 1 else tuple([coeff * v for v in n])
+    return Matrix.from_form(nrows, mat.ncols, den * du**extra, cols, nums)
 
 
 def pullback(sigma: MonotoneMap, phi: AutFamily) -> AutFamily:
@@ -220,12 +227,9 @@ def lift_derivation(B: GradedTarget, der: Matrix, dd_basis: list[Matrix]) -> Mat
     """A double derivation collapsing to the given derivation under the
     multiplication, found in the span of the given double derivations;
     None when the linear system has no solution."""
-    mm = B.A.mult_matrix()
-    cols = []
-    for dd in dd_basis:
-        coll = mm @ dd
-        cols.append([coll.rows[r][c] for r in range(coll.nrows) for c in range(coll.ncols)])
-    target = [der.rows[r][c] for r in range(der.nrows) for c in range(der.ncols)]
+    mm = B.mB_matrix(0, 0)
+    cols = [_flat(mm @ dd) for dd in dd_basis]
+    target = _flat(der)
     sol = Matrix.from_cols(cols, nrows=len(target)).solve(target) if cols else None
     if sol is None:
         return None
@@ -233,6 +237,16 @@ def lift_derivation(B: GradedTarget, der: Matrix, dd_basis: list[Matrix]) -> Mat
     for c, dd in zip(sol, dd_basis):
         if c:
             out = out + dd.scale(c)
+    return out
+
+
+def _flat(m: Matrix) -> list[Fraction]:
+    """The entries of a matrix row by row, as one dense vector."""
+    den, cols, nums = m.form()
+    out = [Q0] * (m.nrows * m.ncols)
+    for r, (c, n) in enumerate(zip(cols, nums)):
+        for j, v in zip(c, n):
+            out[r * m.ncols + j] = Fraction(v, den)
     return out
 
 
@@ -260,13 +274,17 @@ def surjectivity_probe(A: FinAlgebra, n: int) -> dict:
     letters = lifts or []
     fin = (1,) * n
     phi = from_derivations(B, letters, N=n)
-    collapse = functools.reduce(Matrix.kron, [B.A.mult_matrix()] * n)
-    vecs = []
+    collapse = functools.reduce(Matrix.kron, [B.mB_matrix(0, 0)] * n)
+    span = None
     for w in itertools.product(range(len(letters)), repeat=n):
         coll = collapse @ r_map(phi, w).block(fin, fin)
-        vecs.append([x for row in coll.rows for x in row])
+        if span is None:
+            span = SparseEchelon(coll.nrows * coll.ncols)
+        # a common denominator scales the vector, not its span
+        _, cols, nums = coll.form()
+        span.add_row({r * coll.ncols + j: v for r, (c, n) in enumerate(zip(cols, nums)) for j, v in zip(c, n)})
     symbol_dim = len(ders) ** n  # D_(1,...,1)(0) = D_(1)(0)^(x)n: slots act apart
-    rank = span_rank(vecs)
+    rank = span.rank if span else 0
     return {
         "order": n,
         "dim_derivations": len(ders),

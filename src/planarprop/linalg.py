@@ -1,27 +1,45 @@
 """Exact rational matrices: arithmetic, RREF, deterministic nullspace bases.
 
-Dense `Matrix` entries are `fractions.Fraction`; no floating point
-anywhere.  Zeros are kept as the shared `Q0`, so a scan tests an entry
-by identity before its value.  The dense products (`@`, `apply`,
-`kron`) read each operand once into a common denominator and the
-integer numerators of its nonzero entries, multiply and add plain ints,
-and build one `Fraction` per nonzero entry of the result.  The sparse
-`SparseEchelon` keeps its rows integral, primitive and fully reduced
-as they arrive; `Fraction`s appear only in the reduced echelon form it
-emits, and `Matrix.rref`, `rank`, `nullspace` and `solve` all eliminate
-through it.  The nullspace basis convention is fixed once and for all:
-reduced row echelon form with pivots chosen left to right, one basis
-vector per free column, free columns taken in increasing index order.
-Every caller that freezes expected values relies on this being
-deterministic.  `parse_rationals` and `format_rationals` are the one
-reader and the one writer of rationals as JSON text.
+A `Matrix` holds its entries in one integer form: a positive common
+denominator `den` and, per row, the columns of its nonzero entries in
+increasing order and their integer numerators over den, as two parallel
+tuples.  The form is reduced, gcd(den, every numerator) = 1, so equal
+matrices have equal forms and `==` compares forms.  The products (`@`,
+`apply`, `kron`), `+`, `scale` and the tests `is_zero` and `==` read and
+build that form alone, with plain int arithmetic; no floating point
+anywhere.  Row tuples are never written into, so results share them
+with their operands (a row picked by a single entry 1, a row of a zero
+operand of a sum).  `form()` is the one reader of the form outside this
+module and `Matrix.from_form` its one writer.
+
+Dense rows of `fractions.Fraction`s, zeros as the shared `Q0`, are
+built only when a caller reads `.rows`.  From then on those lists stand
+for the matrix, so a write `m.rows[i][j] = v` is seen, until the next
+operation on the matrix reads them back into the integer form and drops
+them; a caller keeps no `.rows` list across an operation and writes to
+it afterwards.  `_int_rows` is that one conversion from dense rows.
+
+The sparse `SparseEchelon` keeps its rows integral, primitive and fully
+reduced as they arrive; `Fraction`s appear only in the reduced echelon
+form it emits, and `Matrix.rref`, `rank`, `nullspace` and `solve` all
+eliminate through it, fed the integer rows.  The nullspace basis
+convention is fixed once and for all: reduced row echelon form with
+pivots chosen left to right, one basis vector per free column, free
+columns taken in increasing index order.  Every caller that freezes
+expected values relies on this being deterministic.  `parse_rationals`
+and `format_rationals` are the one reader and the one writer of
+rationals as JSON text; `Matrix.text` gives the writer's text of a
+matrix straight from its integer form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Q0 = Fraction(0)
@@ -62,52 +80,119 @@ def _exact(x: Fraction):
     return x.numerator if x.denominator == 1 else x
 
 
-def _int_rows(rows: Sequence[Sequence]) -> tuple[int, list[list[tuple[int, int]]]]:
-    """A common denominator `den` of the entries of `rows` and, per row,
-    the (column, numerator over den) pairs of its nonzero entries.  One
-    pass over the entries skips the shared `Q0` by identity; other zeros
-    drop out by their numerator."""
-    ratios = [(i, j, x.as_integer_ratio()) for i, r in enumerate(rows) for j, x in enumerate(r) if x is not Q0]
-    den = lcm(*{d for _, _, (_, d) in ratios})
-    out = [[] for _ in rows]
-    for i, j, (n, d) in ratios:
-        if n:
-            out[i].append((j, n * (den // d)))
-    return den, out
+def _int_rows(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Dense rows of exact numbers (ints or Fractions) in the integer
+    form: the lcm `den` of their denominators and, per row, the columns
+    of its nonzero entries and their numerators over den.  The form is
+    reduced, since each entry's ratio is.  One pass over the entries
+    skips the shared `Q0` by identity; other zeros drop out by value."""
+    ratios = [[(j, x.as_integer_ratio()) for j, x in enumerate(r) if x is not Q0 and x] for r in rows]
+    den = lcm(*{d for r in ratios for _, (_, d) in r})
+    cols = tuple([tuple([j for j, _ in r]) for r in ratios])
+    nums = tuple([tuple([n * (den // d) for _, (n, d) in r]) for r in ratios])
+    return den, cols, nums
 
 
 class Matrix:
-    """Dense matrix over the rationals."""
+    """Matrix over the rationals, held in the integer form of the module
+    docstring: a positive denominator `den` and, per row, the tuple of
+    its nonzero columns (increasing) and the tuple of their numerators,
+    with gcd(den, every numerator) = 1.  `.rows` hands out dense
+    `Fraction` rows that stand for the matrix until the next operation
+    reads them back."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "_den", "_cols", "_nums", "_dense")
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = [[_frac(x) for x in r] for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged rows")
+        rows = [[_frac(x) for x in r] for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        self.nrows, self.ncols, self._dense = len(rows), ncols, None
+        self._den, self._cols, self._nums = _int_rows(rows)
+
+    # -- the integer form ---------------------------------------------
+
+    @classmethod
+    def from_form(cls, nrows: int, ncols: int, den: int, cols: Sequence[tuple], nums: Sequence[tuple]) -> "Matrix":
+        """The matrix of an integer form: den > 0 and, per row, a tuple of
+        increasing columns and a tuple of their nonzero numerators.  The
+        form is reduced here and kept as tuples; its tuples may be shared
+        with other matrices, since no one writes into them."""
+        g = den
+        for r in nums:
+            if g == 1:
+                break
+            if r:
+                g = gcd(g, *r)
+        if g != 1:
+            den //= g
+            nums = [tuple([v // g for v in r]) for r in nums]
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m._den, m._cols, m._nums, m._dense = nrows, ncols, den, tuple(cols), tuple(nums), None
+        return m
+
+    @classmethod
+    def from_entries(cls, nrows: int, ncols: int, den: int, entries) -> "Matrix":
+        """The matrix of (row, column, numerator over den) triples of its
+        nonzero entries; each row's columns arrive in increasing order."""
+        cols, nums = [[] for _ in range(nrows)], [[] for _ in range(nrows)]
+        for r, c, v in entries:
+            cols[r].append(c)
+            nums[r].append(v)
+        return cls.from_form(nrows, ncols, den, list(map(tuple, cols)), list(map(tuple, nums)))
+
+    def form(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(den, cols, nums): the reduced integer form.  Rows a caller
+        read through `.rows` are read back into it here, and dropped."""
+        if self._dense is not None:
+            self._den, self._cols, self._nums = _int_rows(self._dense)
+            self._dense = None
+        return self._den, self._cols, self._nums
+
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        """Dense rows of Fractions, zeros as the shared Q0.  They stand for
+        the matrix, so writes into them are seen, until the next operation
+        on the matrix reads them back; keep no row across one."""
+        if self._dense is None:
+            self._dense = self._dense_rows()
+            self._den = self._cols = self._nums = None
+        return self._dense
+
+    def text(self) -> list[list[str]]:
+        """The entries as JSON text, row by row: `format_rationals(rows)`,
+        written from the integer form, so the matrix hands no rows out."""
+        if self._dense is not None:
+            return format_rationals(self._dense)
+        den, p = self._den, self.ncols
+        out = []
+        for c, n in zip(self._cols, self._nums):
+            r = ["0"] * p
+            for j, v in zip(c, n):
+                r[j] = str(v) if den == 1 else str(Fraction(v, den))
+            out.append(r)
+        return out
+
+    def _dense_rows(self) -> list[list[Fraction]]:
+        den, p = self._den, self.ncols
+        out = []
+        for c, n in zip(self._cols, self._nums):
+            r = [Q0] * p
+            for j, v in zip(c, n):
+                r[j] = Fraction(v, den)
+            out.append(r)
+        return out
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _of(cls, rows: list[list[Fraction]], ncols: int) -> "Matrix":
-        """Wrap rows of Fractions, already of length ncols, without a copy."""
-        m = cls.__new__(cls)
-        m.nrows, m.ncols, m.rows = len(rows), ncols, rows
-        return m
-
-    @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls._of([[Q0] * ncols for _ in range(nrows)], ncols)
+        return cls.from_form(nrows, ncols, 1, ((),) * nrows, ((),) * nrows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.rows[i][i] = Q1
-        return m
+        return cls.from_form(n, n, 1, [(i,) for i in range(n)], ((1,),) * n)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
@@ -115,96 +200,159 @@ class Matrix:
         if nrows is None:
             nrows = len(cols[0]) if cols else 0
         m = cls.zeros(nrows, len(cols))
+        rows = m.rows
         for j, c in enumerate(cols):
             for i, x in enumerate(c):
-                m.rows[i][j] = _frac(x)
+                rows[i][j] = _frac(x)
         return m
 
     # -- basic access -------------------------------------------------
 
     def col(self, j: int) -> list[Fraction]:
-        return [r[j] for r in self.rows]
+        den, cols, nums = self.form()
+        out = []
+        for c, n in zip(cols, nums):
+            k = bisect_left(c, j)
+            out.append(Fraction(n[k], den) if k < len(c) and c[k] == j else Q0)
+        return out
 
     def copy(self) -> "Matrix":
-        return Matrix(self.rows)
+        return Matrix.from_form(self.nrows, self.ncols, *self.form())
 
     def is_zero(self) -> bool:
-        return not any(x is not Q0 and x for r in self.rows for x in r)
+        return not any(self.form()[1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.rows == other.rows
+        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.form() == other.form()
 
     def __repr__(self):
-        return f"Matrix({self.rows!r})"
+        return f"Matrix({self._dense if self._dense is not None else self._dense_rows()!r})"
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
-        rows = [[a + b if b is not Q0 and b else a for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        return Matrix._of(rows, self.ncols)
+        da, acols, anums = self.form()
+        db, bcols, bnums = other.form()
+        if not any(bcols):
+            return self.copy()
+        if not any(acols):
+            return other.copy()
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        cols, nums = [], []
+        for c1, n1, c2, n2 in zip(acols, anums, bcols, bnums):
+            if not c2:
+                cols.append(c1)
+                nums.append(n1 if fa == 1 else tuple([v * fa for v in n1]))
+            elif not c1:
+                cols.append(c2)
+                nums.append(n2 if fb == 1 else tuple([v * fb for v in n2]))
+            else:
+                acc = dict(zip(c1, [v * fa for v in n1]))
+                for j, v in zip(c2, n2):
+                    acc[j] = acc.get(j, 0) + v * fb
+                keys = sorted(j for j, v in acc.items() if v)
+                cols.append(tuple(keys))
+                nums.append(tuple([acc[j] for j in keys]))
+        return Matrix.from_form(self.nrows, self.ncols, den, cols, nums)
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
-        return Matrix([[c * a for a in r] for r in self.rows])
+        if not c:
+            return Matrix.zeros(self.nrows, self.ncols)
+        den, cols, nums = self.form()
+        n = c.numerator
+        if n != 1:
+            nums = [tuple([v * n for v in r]) for r in nums]
+        return Matrix.from_form(self.nrows, self.ncols, den * c.denominator, cols, nums)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        da, arows = _int_rows(self.rows)
-        db, brows = _int_rows(other.rows)
-        den, p = da * db, other.ncols
-        acc = [0] * (self.nrows * p)
-        for i, r in enumerate(arows):
-            base = i * p
-            for k, a in r:
-                for j, b in brows[k]:
-                    acc[base + j] += a * b
-        vals = [Fraction(v, den) if v else Q0 for v in acc]
-        return Matrix._of([vals[i * p:(i + 1) * p] for i in range(self.nrows)], p)
+        da, acols, anums = self.form()
+        db, bcols, bnums = other.form()
+        p = other.ncols
+        cols, nums = [], []
+        for ac, an in zip(acols, anums):
+            if not ac:
+                cols.append(())
+                nums.append(())
+            elif len(ac) == 1:
+                # one entry: the row of other it picks, scaled
+                k, a = ac[0], an[0]
+                cols.append(bcols[k])
+                nums.append(bnums[k] if a == 1 else tuple([a * b for b in bnums[k]]))
+            else:
+                acc = [0] * p
+                for k, a in zip(ac, an):
+                    for j, b in zip(bcols[k], bnums[k]):
+                        acc[j] += a * b
+                cols.append(tuple(compress(range(p), acc)))
+                nums.append(tuple(filter(None, acc)))
+        return Matrix.from_form(self.nrows, p, da * db, cols, nums)
 
     def apply(self, vec: Sequence) -> list[Fraction]:
         """Matrix-vector product."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        da, arows = _int_rows(self.rows)
-        dv, (pairs,) = _int_rows([vec])
+        den, cols, nums = self.form()
+        dv, (vc,), (vn,) = _int_rows([vec])
         x = [0] * self.ncols
-        for j, v in pairs:
+        for j, v in zip(vc, vn):
             x[j] = v
-        den = da * dv
-        out = []
-        for r in arows:
-            s = 0
-            for j, a in r:
-                s += a * x[j]
-            out.append(Fraction(s, den) if s else Q0)
-        return out
+        get, den = x.__getitem__, den * dv
+        sums = [sum(map(mul, n, map(get, c))) for c, n in zip(cols, nums)]
+        if den == 1:
+            return [Fraction(s) if s else Q0 for s in sums]
+        return [Fraction(s, den) if s else Q0 for s in sums]
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; index convention is big-endian (first factor
         owns the most significant digit), matching the tensor-basis
-        linearisation used throughout the package."""
-        da, arows = _int_rows(self.rows)
-        db, brows = _int_rows(other.rows)
-        den, p, q = da * db, other.nrows, other.ncols
-        out = Matrix.zeros(self.nrows * p, self.ncols * q)
-        for i, r in enumerate(arows):
-            for k, a in r:
-                base = k * q
-                for tr, r2 in zip(out.rows[i * p:(i + 1) * p], brows):
-                    for k2, b in r2:
-                        tr[base + k2] = Fraction(a * b, den)
-        return out
+        linearisation used throughout the package.  A row's columns come
+        out increasing, since each factor's are."""
+        da, acols, anums = self.form()
+        db, bcols, bnums = other.form()
+        q = other.ncols
+        brows = list(zip(bcols, bnums))
+        cols, nums = [], []
+        for ac, an in zip(acols, anums):
+            shifts = [k * q for k in ac]
+            for bc, bn in brows:
+                if not ac or not bc:
+                    cols.append(())
+                    nums.append(())
+                elif len(bc) == 1:
+                    j, b = bc[0], bn[0]
+                    cols.append(tuple([s + j for s in shifts]))
+                    nums.append(an if b == 1 else tuple([a * b for a in an]))
+                elif len(ac) == 1:
+                    s, a = shifts[0], an[0]
+                    cols.append(tuple([s + j for j in bc]))
+                    nums.append(bn if a == 1 else tuple([a * b for b in bn]))
+                else:
+                    cols.append(tuple([s + j for s in shifts for j in bc]))
+                    nums.append(tuple([a * b for a in an for b in bn]))
+        return Matrix.from_form(self.nrows * other.nrows, self.ncols * q, da * db, cols, nums)
 
     # -- elimination --------------------------------------------------
 
+    def _echelon(self) -> SparseEchelon:
+        """The echelon of the row space, fed the integer rows (den scales
+        every row alike, which changes neither the span nor its RREF)."""
+        _, cols, nums = self.form()
+        ech = SparseEchelon(self.ncols)
+        for c, n in zip(cols, nums):
+            ech.add_row(dict(zip(c, n)))
+        return ech
+
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        red = span_echelon(self.rows, self.ncols).rref()
+        red = self._echelon().rref()
         m = Matrix.zeros(self.nrows, self.ncols)
         for row, prow in zip(m.rows, red.values()):
             for j, v in prow.items():
@@ -212,18 +360,26 @@ class Matrix:
         return m, list(red)
 
     def rank(self) -> int:
-        return span_echelon(self.rows, self.ncols).rank
+        return self._echelon().rank
 
     def nullspace(self) -> list[list[Fraction]]:
         """Deterministic kernel basis: one vector per free column, free
         columns in increasing order.  rank + len(result) == ncols."""
-        kernel = span_echelon(self.rows, self.ncols).nullspace()
+        kernel = self._echelon().nullspace()
         return [[v.get(j, Q0) for j in range(self.ncols)] for v in kernel]
 
     def solve(self, rhs: Sequence) -> list[Fraction] | None:
-        """One exact solution of self @ x = rhs, or None if inconsistent."""
+        """One exact solution of self @ x = rhs, or None if inconsistent;
+        the right-hand side is scaled by den along with the rows."""
         n = self.ncols
-        red = span_echelon([r + [b] for r, b in zip(self.rows, rhs)], n + 1).rref()
+        den, cols, nums = self.form()
+        ech = SparseEchelon(n + 1)
+        for c, v, b in zip(cols, nums, rhs):
+            row = dict(zip(c, v))
+            if b:
+                row[n] = _frac(b) * den
+            ech.add_row(row)
+        red = ech.rref()
         if n in red:
             return None
         x = [Q0] * n

@@ -31,9 +31,10 @@ import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebras import GradedTarget
-from .linalg import Matrix, Q0, SparseEchelon, _exact, _integral, format_rationals, parse_rationals
+from .linalg import Matrix, Q0, SparseEchelon, _exact, _integral, parse_rationals
 from .ordinals import MonotoneMap, all_epis, compose, merge
 from .partitions import (
     OrderedPartition,
@@ -70,7 +71,7 @@ def _gradevecs(d: int, total: int) -> list[tuple[int, ...]]:
     return list(compositions(total, d))
 
 
-@dataclass
+@dataclass(slots=True)
 class DiffOperator:
     """shape: slot orders (zeros allowed, e.g. units); grade: total output
     grade; components: positive core refinement -> grade vector -> matrix
@@ -214,7 +215,7 @@ class DiffOperator:
                     {
                         "refinement": list(kappa),
                         "grades": list(g),
-                        "matrix": format_rationals(m.rows),
+                        "matrix": m.text(),
                     }
                 )
         return {
@@ -328,16 +329,16 @@ def extend_degenerate(P: DiffOperator, lam_prime: tuple[int, ...]) -> dict[tuple
                 cols = [(cc * a + t, z) for cc, z in cols for t in range(a)]
             else:
                 cols = [(cc, z + t * weights[j]) for cc, z in cols for t in range(a)]
+        # the extension moves entries and keeps their values, so it keeps
+        # M's denominator; walking its columns in order fills each row's
+        # columns in increasing order
+        den, mcols, mnums = M.form()
         entries = [[] for _ in range(M.ncols)]
-        for r, row in enumerate(M.rows):
-            for cc, v in enumerate(row):
-                if v:
-                    entries[cc].append((rowmap[r], v))
-        ext = Matrix.zeros(weights[0] * a ** (g_ext[0] + 1), len(cols))
-        for col, (cc, z) in enumerate(cols):
-            for r, v in entries[cc]:
-                ext.rows[r + z][col] = v
-        out[g_ext] = ext
+        for r, c, n in zip(rowmap, mcols, mnums):
+            for cc, v in zip(c, n):
+                entries[cc].append((r, v))
+        moved = ((r + z, col, v) for col, (cc, z) in enumerate(cols) for r, v in entries[cc])
+        out[g_ext] = Matrix.from_entries(weights[0] * a ** (g_ext[0] + 1), len(cols), den, moved)
     return out
 
 
@@ -530,19 +531,21 @@ def solve_D(B: GradedTarget, shape: tuple[int, ...], grade: int = 0) -> list[Dif
     shape = tuple(shape)
     layout, ech = _leibniz_echelon(B, shape, grade)
     # each kernel entry lands in the block whose offset is the last one
-    # at or below its index
+    # at or below its index; a vector's entries come in increasing index
+    # order, so each row of a block gets its columns in increasing order
     blocks = list(layout["blocks"].items())
     offsets = [off for _, (off, _, _) in blocks]
     basis = []
     for vec in ech.nullspace():
-        comps: dict = {}
+        entries: dict = {}
         for idx, v in vec.items():
-            (kappa, g), (off, nr, nc) = blocks[bisect_right(offsets, idx) - 1]
-            dst = comps.setdefault(kappa, {})
-            if g not in dst:
-                dst[g] = Matrix.zeros(nr, nc)
-            r, col = divmod(idx - off, nc)
-            dst[g].rows[r][col] = v
+            entries.setdefault(bisect_right(offsets, idx) - 1, []).append((idx, v))
+        comps: dict = {}
+        for b, items in entries.items():
+            (kappa, g), (off, nr, nc) = blocks[b]
+            den = lcm(*[v.denominator for _, v in items])
+            ints = ((*divmod(idx - off, nc), v.numerator * (den // v.denominator)) for idx, v in items)
+            comps.setdefault(kappa, {})[g] = Matrix.from_entries(nr, nc, den, ints)
         basis.append(DiffOperator(B, shape, grade, comps))
     return basis
 
@@ -594,7 +597,7 @@ def check_mP(P: DiffOperator, d: int) -> bool:
     elif n > 0:
         lhs = top @ prod
     else:
-        lhs = prod.scale(top.rows[0][0])
+        lhs = prod.scale(top.col(0)[0])
     rhs = Matrix.zeros(lhs.nrows, lhs.ncols)
     for lam in enumerate_partitions(n, d):
         for g_ext, M in extend_degenerate(P, lam.parts).items():
@@ -635,7 +638,7 @@ def compose_D(Q: DiffOperator, P: DiffOperator) -> DiffOperator:
 def _scalar(P: DiffOperator) -> Fraction:
     """The value of an operator of order zero."""
     M = P.block((), ())
-    return Q0 if M is None else M.rows[0][0]
+    return Q0 if M is None else M.col(0)[0]
 
 
 def h_compose(P: DiffOperator, Q: DiffOperator) -> DiffOperator:
@@ -889,14 +892,21 @@ def symbol(P: DiffOperator) -> DiffOperator:
 def op_vector(P: DiffOperator, layout) -> dict[int, Fraction] | None:
     """The nonzero coordinates (index -> entry) of an operator in a fixed
     layout, as produced by `vector_layout`; None when one of its blocks
-    lies outside the layout."""
+    lies outside the layout.  The entries of a block with denominator 1
+    are its ints, the others Fractions."""
     vec = {}
     for kappa, blocks in P.components.items():
         for g, M in blocks.items():
             if (kappa, g) not in layout["blocks"]:
                 return None
             off, _, nc = layout["blocks"][(kappa, g)]
-            vec.update((off + r * nc + c, x) for r, row in enumerate(M.rows) for c, x in enumerate(row) if x)
+            den, cols, nums = M.form()
+            for r, (c, n) in enumerate(zip(cols, nums)):
+                base = off + r * nc
+                if den == 1:
+                    vec.update(zip([base + j for j in c], n))
+                else:
+                    vec.update((base + j, Fraction(v, den)) for j, v in zip(c, n))
     return vec
 
 

@@ -71,6 +71,17 @@ class TestValidation:
         assert not ok
         assert where is not None
 
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (8, 2), (2, 4)])
+    def test_misshapen_letter_is_named(self, Bdn, dd, shape):
+        with pytest.raises(FamilyError, match=rf"letter 1 is a {shape[0]}x{shape[1]} matrix, expected 4x2"):
+            from_derivations(Bdn, [dd, Matrix.zeros(*shape)], N=2)
+
+    def test_letter_that_is_not_a_double_derivation_is_named(self, Bdn, dd):
+        not_dd = Matrix.zeros(4, 2)
+        not_dd.rows[0][1] = Fraction(1)
+        with pytest.raises(FamilyError, match="letter 2 is not a double derivation"):
+            from_derivations(Bdn, [dd, dd.scale(2), not_dd], N=2)
+
     def test_word_longer_than_truncation_rejected(self, Bdn, dd):
         too_long = Matrix.zeros(8, 2)
         too_long.rows[0][0] = Fraction(1)

@@ -294,6 +294,172 @@ def test_zero_entries_are_the_shared_zero():
     assert Matrix([[0, Fraction(0)]]).is_zero() and not A.is_zero()
 
 
+def _from_rows(rows, ncols):
+    """The matrix with these rows written into `.rows`; it keeps its
+    width when there are no rows."""
+    out = Matrix.zeros(len(rows), ncols)
+    for r, row in zip(out.rows, rows):
+        r[:] = row
+    return out
+
+
+def reference_add(self, other):
+    if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+        raise ValueError("shape mismatch in matrix addition")
+    return _from_rows([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.ncols)
+
+
+def reference_scale(self, c):
+    return _from_rows([[Fraction(c) * a for a in r] for r in self.rows], self.ncols)
+
+
+# Raw entries that are mostly nonzero, so that products of a few of them
+# are seldom zero.
+dense_entries = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool),
+    raw_entries,
+)
+
+
+def st_dense_matrix(nrows, ncols):
+    """A matrix with mostly nonzero raw entries written into `rows`."""
+    row = st.lists(dense_entries, min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows).map(lambda rows: _from_rows(rows, ncols))
+
+
+@st.composite
+def st_operand(draw, nrows, ncols):
+    """A matrix of the given shape in either form: raw entries written
+    into `.rows`, or the integer form of a product, Kronecker product or
+    multiple of such matrices, whose rows nobody has read."""
+    kind = draw(st.sampled_from(("rows", "dense rows", "matmul", "kron", "scale")))
+    if kind == "rows":
+        return draw(st_raw_matrix(nrows, ncols))
+    if kind == "dense rows":
+        return draw(st_dense_matrix(nrows, ncols))
+    if kind == "matmul":
+        k = draw(st.integers(1, 3))
+        return draw(st_dense_matrix(nrows, k)) @ draw(st_dense_matrix(k, ncols))
+    if kind == "kron":
+        return draw(st_dense_matrix(nrows, 1)).kron(draw(st_dense_matrix(1, ncols)))
+    return draw(st_dense_matrix(nrows, ncols)).scale(draw(fracs.filter(bool)))
+
+
+def _entries(m):
+    """The entries as a fresh list of lists, read off `.rows`."""
+    return [list(r) for r in m.rows]
+
+
+@given(dims, dims, dims, st.data())
+def test_products_match_reference_on_either_form(n, k, m, data):
+    """@, kron and apply of operands in either form are computed before
+    the oracles read the operands' rows."""
+    A = data.draw(st_operand(n, k))
+    B = data.draw(st_operand(k, m))
+    vec = data.draw(st.lists(raw_entries, min_size=k, max_size=k))
+    prod, kron, image = A @ B, A.kron(B), A.apply(vec)
+    ref_prod, ref_kron = reference_matmul(A, B), reference_kron(A, B)
+    assert prod == ref_prod and _entries(prod) == _entries(ref_prod)
+    assert kron == ref_kron and _entries(kron) == _entries(ref_kron)
+    assert image == reference_apply(A, vec)
+
+
+@given(dims, dims, st.data())
+def test_sum_and_scale_match_reference_on_either_form(n, m, data):
+    A = data.draw(st_operand(n, m))
+    B = data.draw(st_operand(n, m))
+    c = data.draw(st.one_of(fracs, st.integers(-3, 3)))
+    total, scaled = A + B, A.scale(c)
+    ref_total, ref_scaled = reference_add(A, B), reference_scale(A, c)
+    assert total == ref_total and _entries(total) == _entries(ref_total)
+    assert scaled == ref_scaled and _entries(scaled) == _entries(ref_scaled)
+
+
+@given(dims, dims, st.data())
+def test_access_matches_reference_on_either_form(n, m, data):
+    """col, copy, text, == and is_zero against the dense entries; a copy
+    is equal and written into independently of its original."""
+    A = data.draw(st_operand(n, m))
+    B = data.draw(st_operand(n, m))
+    cols = [A.col(j) for j in range(m)]
+    copy, text, same, zero = A.copy(), A.text(), A == B, A.is_zero()
+    rows = _entries(A)
+    assert cols == [[r[j] for r in rows] for j in range(m)]
+    assert _all_fractions(x for c in cols for x in c)
+    assert text == [[str(x) if x else "0" for x in r] for r in rows]
+    assert same == (rows == _entries(B))
+    assert zero == (not any(x for r in rows for x in r))
+    assert copy == A and _entries(copy) == rows
+    if n and m:
+        copy.rows[0][0] += 1
+        assert copy != A and _entries(A) == rows
+
+
+@given(dims, dims, st.data())
+def test_equal_entries_compare_equal_in_any_form(n, m, data):
+    """Rows written by hand, a product, a sum, a scaled multiple and a
+    Kronecker product with the 1x1 identity all give equal matrices
+    when their entries agree, and unequal ones when one entry differs."""
+    A = data.draw(st_operand(n, m))
+    rows = _entries(A)
+    forms = [
+        _from_rows(rows, m),
+        A @ Matrix.identity(m),
+        Matrix.identity(n) @ A,
+        A + Matrix.zeros(n, m),
+        A.scale(2).scale(Fraction(1, 2)),
+        A.scale(Fraction(2, 3)).scale(Fraction(3, 2)),
+        A.kron(Matrix.identity(1)),
+        A.copy(),
+    ]
+    by_hand = Matrix.zeros(n, m)
+    for i, r in enumerate(rows):
+        for j, x in enumerate(r):
+            by_hand.rows[i][j] = x.numerator if x.denominator == 1 else x
+    forms.append(by_hand)
+    for X in forms:
+        assert X == A and A == X and X.form() == A.form()
+    if n and m:
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+        bumped = A.copy()
+        bumped.rows[i][j] += Fraction(1, 7)
+        assert all(X != bumped for X in forms)
+
+
+@given(dims, dims, dims, st.data())
+def test_writes_through_rows_after_a_product_are_seen(n, k, m, data):
+    """A product result written through `.rows` is read back by the next
+    product and by ==, and so is an operand written after a product."""
+    A = data.draw(st_raw_matrix(n, k))
+    B = data.draw(st_raw_matrix(k, m))
+    P = A @ B
+    x = data.draw(fracs)
+    if n and m:
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+        P.rows[i][j] = x
+    expected = _from_rows(_entries(P), m)
+    assert P == expected
+    assert P @ Matrix.identity(m) == expected
+    assert P.kron(Matrix.identity(1)) == expected
+    if n and k:
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, k - 1))
+        A.rows[i][j] = x
+        assert A @ B == reference_matmul(A, B)
+        assert A.col(j)[i] == x
+
+
+@given(dims, dims, dims, st.data())
+def test_rows_of_results_keep_zeros_as_the_shared_zero(n, k, m, data):
+    A = data.draw(st_operand(n, k))
+    B = data.draw(st_operand(k, m))
+    C = data.draw(st_operand(n, k))
+    results = [A @ B, A.kron(B), A + C, A.scale(data.draw(fracs)), A.copy()]
+    for R in results:
+        assert all(x is Q0 for r in R.rows for x in r if not x)
+        assert _all_fractions(x for r in R.rows for x in r)
+
+
 def st_matrix(nrows, ncols):
     return st.lists(
         st.lists(fracs, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
