@@ -12,9 +12,12 @@ has index i_1 a^{k-1} + ... + i_k (0-based), matching Matrix.kron.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 from .linalg import Matrix, Q0, Q1, SparseEchelon, _exact, format_rationals, parse_rationals
 
@@ -197,25 +200,118 @@ class GradedTarget:
     def comp_dim(self, g: int) -> int:
         return self.A.dim ** (g + 1)
 
+    @functools.cached_property
+    def _constants(self) -> tuple[int, list, list]:
+        """The structure constants as integers over one denominator den:
+        (den, by_right, by_out), where by_right[q] lists the (p, z, c)
+        with c / den the coefficient of e_z in e_p e_q, over its nonzero c,
+        and by_out[z] holds the increasing indices p a + q of the nonzero
+        c_pq^z and their numerators, as two tuples."""
+        a = self.A.dim
+        ratios = [[[x.as_integer_ratio() for x in row] for row in plane] for plane in self.A.mult]
+        den = lcm(*(d for plane in ratios for row in plane for n, d in row if n))
+        by_right = [[] for _ in range(a)]
+        by_out = [([], []) for _ in range(a)]
+        for p, q in product(range(a), repeat=2):
+            for z, (n, d) in enumerate(ratios[p][q]):
+                if n:
+                    c = n * (den // d)
+                    by_right[q].append((p, z, c))
+                    by_out[z][0].append(p * a + q)
+                    by_out[z][1].append(c)
+        return den, by_right, [(tuple(pq), tuple(c)) for pq, c in by_out]
+
     def mB_matrix(self, g: int, h: int) -> Matrix:
         """Multiplication B_g x B_h -> B_{g+h} as a matrix from the
         Kronecker-ordered tensor basis: I_{a^g} (x) m (x) I_{a^h}, which
-        multiplies legs g+1 and g+2 of A^{(x)(g+h+2)}.  This is the one
-        junction map; `check_mP` (its d-fold product and its
-        collapses), `validate_aut`, `hochschild_d` and the A^e action of
-        `is_formally_smooth_witness` all multiply adjacent legs through
-        it, and `validate_aut`, `lift_derivation` and
-        `surjectivity_probe` read the multiplication m itself as
-        mB(0, 0).  It is built once per (g, h) and target and shared, so
-        no caller writes into it, through `.rows` or otherwise."""
+        multiplies legs g+1 and g+2 of A^{(x)(g+h+2)}.  It is written by
+        index arithmetic: row (u, z, v) holds c_pq^z at column (u, p, q, v).
+        This is the one junction map of adjacent legs; `check_mP` (its
+        d-fold product and its collapses), `hochschild_d` and the A^e
+        action of `is_formally_smooth_witness` multiply through it, and
+        `validate_aut`, `lift_derivation` and `surjectivity_probe` read
+        the multiplication m itself as mB(0, 0); `junction` multiplies
+        the same legs from the same constants without building it.  It
+        is built once per (g, h) and target and shared, so no caller
+        writes into it, through `.rows` or otherwise."""
         key = (g, h)
         if key not in self._mB_cache:
             a = self.A.dim
-            m = self.A.mult_matrix()
-            left = Matrix.identity(a**g)
-            right = Matrix.identity(a**h)
-            self._mB_cache[key] = left.kron(m).kron(right)
+            den, _, by_out = self._constants
+            right = a**h
+            cols, nums = [], []
+            for u in range(a**g):
+                for pqs, cs in by_out:
+                    base = [(u * a * a + pq) * right for pq in pqs]
+                    for v in range(right):
+                        cols.append(tuple([b + v for b in base]))
+                        nums.append(cs)
+            self._mB_cache[key] = Matrix.from_form(a ** (g + h + 1), a ** (g + h + 2), den, cols, nums)
         return self._mB_cache[key]
+
+    def junction(self, pairs) -> Matrix:
+        """The sum over the pairs (m1, m2) of mB(g, h) @ (m1 (x) m2), where
+        m1 has g + 1 output legs and m2 h + 1: each term multiplies the
+        last leg of m1 with the first leg of m2.  Every term must give
+        the same shape, so g + h and the column counts agree across pairs.
+
+        No Kronecker product or junction map is built.  Row (u, z, v) of a
+        term is the sum over p of row (u, p) of m1 (x) w(p, z, v), where
+        w(p, z, v) = sum over q of c_pq^z row (q, v) of m2; the w are
+        formed once per term from the nonzero rows of m2, then each
+        nonzero row of m1 adds its products to the rows it reaches,
+        accumulated in one list per touched row as `Matrix.__matmul__`
+        does, over the common denominator of all terms."""
+        a = self.A.dim
+        den_c, by_right, _ = self._constants
+        pairs = list(pairs)
+        shapes = {(m1.nrows * m2.nrows // a, m1.ncols * m2.ncols) for m1, m2 in pairs}
+        if len(shapes) != 1:
+            raise ValueError(f"junction terms must share one shape, got {sorted(shapes)}")
+        ((nrows, width),) = shapes
+        den, terms = 1, []
+        for m1, m2 in pairs:
+            f1, f2 = m1.form(), m2.form()
+            den = lcm(den, f1[0] * f2[0])
+            terms.append((m2.nrows // a, m2.ncols, f1, f2))
+        accs: dict[int, list[int]] = {}
+        for right, q2, (d1, cols1, nums1), (d2, cols2, nums2) in terms:
+            # w(p, z, v) keyed by its index (p a + z) right + v, dense of width q2
+            block = a * right
+            w: dict[int, list[int]] = {}
+            for r, c in enumerate(cols2):
+                if c:
+                    q, v = divmod(r, right)
+                    n = nums2[r]
+                    for p, z, cc in by_right[q]:
+                        key = p * block + z * right + v
+                        vec = w.get(key)
+                        if vec is None:
+                            vec = w[key] = [0] * q2
+                        for y, t in zip(c, n):
+                            vec[y] += cc * t
+            # per p, the nonzero w(p, z, v) as (z right + v, sparse row)
+            by_p = [[] for _ in range(a)]
+            for key, vec in w.items():
+                row = [(y, t) for y, t in enumerate(vec) if t]
+                if row:
+                    p, key = divmod(key, block)
+                    by_p[p].append((key, row))
+            scale = den // (d1 * d2)
+            for r, c in enumerate(cols1):
+                rows2 = by_p[r % a]
+                if not c or not rows2:
+                    continue
+                row1 = [(x * q2, s * scale) for x, s in zip(c, nums1[r])]
+                start = r // a * block
+                for key, row2 in rows2:
+                    acc = accs.get(start + key)
+                    if acc is None:
+                        acc = accs[start + key] = [0] * width
+                    for base, s in row1:
+                        for y, t in row2:
+                            acc[base + y] += s * t
+        return Matrix.from_dense_rows(nrows, width, den * den_c, accs)
 
     def left_insert(self, x, g: int) -> Matrix:
         """Left multiplication by x: B_g -> B_g (acts on the first tensor

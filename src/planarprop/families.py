@@ -83,19 +83,17 @@ def identity_family(B: GradedTarget, n_letters: int, N: int = 3) -> AutFamily:
 def validate_aut(phi: AutFamily) -> tuple[bool, tuple | None]:
     """Check multiplicativity for every word up to the truncation, as an
     identity of maps A (x) A -> A^{(|w|+1)}; returns (ok, first failing
-    (word, i, j)), the basis pair read off the first column that differs."""
+    (word, i, j)), the basis pair read off the first column that differs.
+    The left side is the word's map after mB(0, 0); the right side sums
+    the junction products of every cut with nonzero factors at once."""
     B = phi.B
     a = B.A.dim
     mm = B.mB_matrix(0, 0)
     for w in _words(phi.n_letters, phi.N):
-        k = len(w)
         lhs = phi.word_map(w) @ mm
-        rhs = Matrix.zeros(lhs.nrows, lhs.ncols)
-        for cut in range(k + 1):
-            m1, m2 = phi.word_map(w[:cut]), phi.word_map(w[cut:])
-            if m1.is_zero() or m2.is_zero():
-                continue
-            rhs = rhs + B.mB_matrix(cut, k - cut) @ m1.kron(m2)
+        cuts = [(phi.word_map(w[:cut]), phi.word_map(w[cut:])) for cut in range(len(w) + 1)]
+        cuts = [(m1, m2) for m1, m2 in cuts if not (m1.is_zero() or m2.is_zero())]
+        rhs = B.junction(cuts) if cuts else Matrix.zeros(lhs.nrows, lhs.ncols)
         if lhs != rhs:
             col = next(c for c in range(a * a) if lhs.col(c) != rhs.col(c))
             return False, (w, col // a, col % a)
@@ -136,8 +134,35 @@ def from_derivations(B: GradedTarget, ders: list[Matrix], N: int = 3) -> AutFami
         if len(w) == 1:
             maps[w] = ders[w[0]]
         elif w:
-            maps[w] = Matrix.identity(a ** (len(w) - 1)).kron(ders[w[-1]]) @ maps[w[:-1]]
+            maps[w] = _on_last_leg(ders[w[-1]], maps[w[:-1]])
     return AutFamily(B, len(ders), N, maps)
+
+
+def _on_last_leg(d: Matrix, m: Matrix) -> Matrix:
+    """(I (x) d) @ m for a map d: A -> A^(x)2, which applies d to the last
+    leg of m's output: each nonzero row (u, p) of m adds d[s, p] times
+    itself to row (u, s), accumulated in one list per touched row."""
+    a = d.ncols
+    dd, dcols, dnums = d.form()
+    by_col = [[] for _ in range(a)]  # p -> (s, d[s, p]) of the nonzero d[s, p]
+    for s, (c, n) in enumerate(zip(dcols, dnums)):
+        for p, v in zip(c, n):
+            by_col[p].append((s, v))
+    dm, mcols, mnums = m.form()
+    out, width = d.nrows, m.ncols
+    accs: dict[int, list[int]] = {}
+    for r, (c, n) in enumerate(zip(mcols, mnums)):
+        if not c:
+            continue
+        u, p = divmod(r, a)
+        for s, v in by_col[p]:
+            key = u * out + s
+            acc = accs.get(key)
+            if acc is None:
+                acc = accs[key] = [0] * width
+            for j, x in zip(c, n):
+                acc[j] += v * x
+    return Matrix.from_dense_rows(m.nrows // a * out, width, dm * dd, accs)
 
 
 def units_inserted(B: GradedTarget, mat: Matrix, fiber_sizes) -> Matrix:

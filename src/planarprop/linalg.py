@@ -142,6 +142,18 @@ class Matrix:
             nums[r].append(v)
         return cls.from_form(nrows, ncols, den, list(map(tuple, cols)), list(map(tuple, nums)))
 
+    @classmethod
+    def from_dense_rows(cls, nrows: int, ncols: int, den: int, rows: dict[int, list[int]]) -> "Matrix":
+        """The matrix whose row i is rows[i], a dense list of ncols integer
+        numerators over den, for each i in rows, and zero elsewhere: the
+        form of accumulation lists as `__matmul__` fills them."""
+        cols, nums = [()] * nrows, [()] * nrows
+        every = range(ncols)
+        for i, acc in rows.items():
+            cols[i] = tuple(compress(every, acc))
+            nums[i] = tuple(filter(None, acc))
+        return cls.from_form(nrows, ncols, den, cols, nums)
+
     def form(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
         """(den, cols, nums): the reduced integer form.  Rows a caller
         read through `.rows` are read back into it here, and dropped."""

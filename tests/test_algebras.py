@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_leibniz import conjugate
 
 from planarprop.algebras import (
@@ -355,6 +356,105 @@ def test_smoothness_report_matches_reference(name):
     expected = {"k[x]/(x^3)": False, "T2": True, "k[x,y]/(x^2,y^2)": False}
     if name in expected:
         assert report["feasible"] is expected[name]
+
+
+# The junction map built as I (x) m (x) I by two Kronecker products: the
+# oracle for `mB_matrix`, which writes it by index arithmetic, and for
+# `junction`, which never builds it.
+
+
+def reference_mB(B: GradedTarget, g: int, h: int) -> Matrix:
+    a = B.A.dim
+    return Matrix.identity(a**g).kron(B.A.mult_matrix()).kron(Matrix.identity(a**h))
+
+
+def rescaled_kx3() -> FinAlgebra:
+    """k[x]/(x^3) on the basis (1, x/2, 3x^2): e_1 e_1 = e_2 / 12, so its
+    structure constants have denominators."""
+    scales = (Fraction(1), Fraction(1, 2), Fraction(3))
+    mult = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j in itertools.product(range(3), repeat=2):
+        if i + j < 3:
+            mult[i][j][i + j] = scales[i] * scales[j] / scales[i + j]
+    A = FinAlgebra(3, tuple(tuple(map(tuple, plane)) for plane in mult), (Fraction(1), Fraction(0), Fraction(0)))
+    check_algebra(A)
+    return A
+
+
+JUNCTION_CORPUS = ["dualnum", "k2", "m2", "m2 conj", "T2", "k[x,y]/(x^2,y^2)", "k[x]/(x^3) rescaled"]
+
+
+@functools.cache
+def corpus_target(name: str) -> GradedTarget:
+    return GradedTarget(rescaled_kx3() if name == "k[x]/(x^3) rescaled" else CORPUS[name]())
+
+
+@pytest.mark.parametrize("name", JUNCTION_CORPUS)
+def test_mB_matrix_matches_kron_construction(name):
+    B = GradedTarget(corpus_target(name).A)
+    for g, h in itertools.product(range(3), repeat=2):
+        mb = B.mB_matrix(g, h)
+        assert mb == reference_mB(B, g, h)
+        assert mb.form() == reference_mB(B, g, h).form()
+        assert B.mB_matrix(g, h) is mb and B._mB_cache[g, h] is mb
+
+
+@st.composite
+def st_leg_map(draw, a: int, legs: int, ncols: int):
+    """A map into A^(x)legs in integer form over a drawn denominator, with
+    some zero rows and at least one entry, and now and then the zero map."""
+    nrows = a**legs
+    if draw(st.integers(0, 7)) == 0:
+        return Matrix.zeros(nrows, ncols)
+    den = draw(st.sampled_from([1, 2, 3, 6]))
+    density = draw(st.sampled_from([0.15, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cells = [(r, c) for r in range(nrows) for c in range(ncols) if rng.random() < density]
+    cells = cells or [(rng.randrange(nrows), rng.randrange(ncols))]
+    return Matrix.from_entries(nrows, ncols, den, [(r, c, rng.choice([-3, -2, -1, 1, 2, 3])) for r, c in cells])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(JUNCTION_CORPUS), st.integers(0, 2), st.integers(0, 2), st.integers(1, 2), st.data())
+def test_junction_is_the_junction_map_of_the_kron(name, g, h, ncols, data):
+    B = corpus_target(name)
+    a = B.A.dim
+    m1 = data.draw(st_leg_map(a, g + 1, ncols))
+    m2_ = data.draw(st_leg_map(a, h + 1, 3 - ncols))
+    assert B.junction([(m1, m2_)]) == B.mB_matrix(g, h) @ m1.kron(m2_)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(JUNCTION_CORPUS), st.integers(0, 3), st.data())
+def test_junction_sums_its_terms(name, k, data):
+    """Terms at every cut g + h = k sum over one common denominator."""
+    B = corpus_target(name)
+    a = B.A.dim
+    cuts = data.draw(st.lists(st.integers(0, k), min_size=1, max_size=k + 2))
+    pairs = [(data.draw(st_leg_map(a, g + 1, 1)), data.draw(st_leg_map(a, k - g + 1, 1))) for g in cuts]
+    expected = Matrix.zeros(a ** (k + 1), 1)
+    for g, (m1, m2_) in zip(cuts, pairs):
+        expected = expected + B.mB_matrix(g, k - g) @ m1.kron(m2_)
+    assert B.junction(pairs) == expected
+
+
+def test_junction_on_dense_conjugate_maps():
+    """Every row and every constant nonzero: the dense case the accumulation lists serve."""
+    B = corpus_target("m2 conj")
+    rng = random.Random(5)
+    for g, h in itertools.product(range(3), repeat=2):
+        m1 = Matrix([[Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)) for _ in range(4)] for _ in range(4 ** (g + 1))])
+        m2_ = Matrix([[Fraction(rng.choice([-1, 1, 3]), 2) for _ in range(4)] for _ in range(4 ** (h + 1))])
+        assert B.junction([(m1, m2_)]) == reference_mB(B, g, h) @ m1.kron(m2_)
+
+
+def test_junction_rejects_terms_of_different_shapes():
+    B = GradedTarget(dual_numbers())
+    one = Matrix.identity(2)
+    with pytest.raises(ValueError, match="one shape"):
+        B.junction([(one, one), (one, Matrix.zeros(4, 2))])
+    with pytest.raises(ValueError, match="one shape"):
+        B.junction([])
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (4, 2), (2, 1)])

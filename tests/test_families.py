@@ -1,13 +1,16 @@
 """Truncated automorphism families, their operators, and pullbacks."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from test_leibniz import conjugate
 
 from planarprop.algebras import FinAlgebra, GradedTarget, dual_numbers, kxk, m2
 from planarprop.families import (
     AutFamily,
     FamilyError,
+    derivation_lifts,
     from_derivations,
     identity_family,
     is_double_derivation,
@@ -81,6 +84,22 @@ class TestValidation:
         not_dd.rows[0][1] = Fraction(1)
         with pytest.raises(FamilyError, match="letter 2 is not a double derivation"):
             from_derivations(Bdn, [dd, dd.scale(2), not_dd], N=2)
+
+    @pytest.mark.parametrize("name", ["dualnum", "m2", "m2 conj"])
+    def test_word_maps_apply_the_last_letter_to_the_last_leg(self, Bdn, dd, name):
+        # the dense route: I_{a^(k-1)} (x) d composed after the prefix's map
+        if name == "dualnum":
+            B, letters, N = Bdn, [dd, dd.scale(Fraction(-3, 2))], 3
+        else:
+            B = GradedTarget(conjugate("m2") if name == "m2 conj" else m2())
+            letters, N = derivation_lifts(B)[2], 3
+        phi = from_derivations(B, letters, N=N)
+        a = B.A.dim
+        for k in range(2, N + 1):
+            for w in itertools.product(range(len(letters)), repeat=k):
+                dense = Matrix.identity(a ** (k - 1)).kron(letters[w[-1]]) @ phi.word_map(w[:-1])
+                assert phi.word_map(w) == dense
+        assert len(phi.maps) > 2 * len(letters)
 
     def test_word_longer_than_truncation_rejected(self, Bdn, dd):
         too_long = Matrix.zeros(8, 2)

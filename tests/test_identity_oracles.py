@@ -18,14 +18,16 @@ reference reads it off the block's row count.  `surjectivity_probe` runs
 one path for order 1, order 2 and infeasible lifts; its reference
 branches on each, and both must give the same report."""
 
+import functools
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 from test_leibniz import conjugate
 
-from planarprop.algebras import FinAlgebra, GradedTarget, dual_numbers, kxk, m2
+from planarprop.algebras import FinAlgebra, GradedTarget, dual_numbers, kxk, load_algebra, m2
 from planarprop.families import (
     AutFamily,
     FamilyError,
@@ -61,6 +63,7 @@ from planarprop.partitions import (
 )
 
 TARGETS = {"dualnum": dual_numbers, "k2": kxk, "m2": m2}
+DATA = pathlib.Path(__file__).parent / "data"
 # highest order checked at grade 0 and at grade 1
 TOP_ORDER = {"dualnum": (3, 3), "k2": (3, 3), "m2": (2, 1)}
 
@@ -308,10 +311,33 @@ def families():
     dd.rows[3][1] = Fraction(1)  # x -> x (x) x
     Bm = GradedTarget(m2())
     lifts = derivation_lifts(Bm)[2]
-    return {"dualnum N=3": from_derivations(Bdn, [dd], N=3), "m2 N=2": from_derivations(Bm, lifts, N=2)}
+    Bt = GradedTarget(load_algebra(DATA / "t2.json"))
+    t2_lifts = derivation_lifts(Bt)[2]
+    assert len(t2_lifts) == 2
+    return {
+        "dualnum N=3": from_derivations(Bdn, [dd], N=3),
+        "m2 N=2": from_derivations(Bm, lifts, N=2),
+        "T2 N=2": from_derivations(Bt, t2_lifts, N=2),
+        "T2 N=3": from_derivations(Bt, t2_lifts, N=3),
+        "m2 N=4": from_derivations(Bm, lifts, N=4),
+    }
 
 
-@pytest.mark.parametrize("label", ["dualnum N=3", "m2 N=2"])
+def dense_sides(phi: AutFamily, w) -> tuple[Matrix, Matrix]:
+    """Both sides of multiplicativity at one word, as whole matrices: the
+    word's map after the multiplication, and the sum over the cuts of the
+    junction map mB(cut, k - cut) after the Kronecker product of the two
+    subwords' maps."""
+    B = phi.B
+    k = len(w)
+    lhs = phi.word_map(w) @ B.mB_matrix(0, 0)
+    rhs = Matrix.zeros(lhs.nrows, lhs.ncols)
+    for cut in range(k + 1):
+        rhs = rhs + B.mB_matrix(cut, k - cut) @ phi.word_map(w[:cut]).kron(phi.word_map(w[cut:]))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("label", ["dualnum N=3", "m2 N=2", "T2 N=2", "T2 N=3"])
 def test_validate_aut_agrees_with_reference(families, label):
     phi = families[label]
     assert validate_aut(phi) == reference_validate_aut(phi) == (True, None)
@@ -325,6 +351,26 @@ def test_validate_aut_agrees_with_reference(families, label):
         assert got == reference_validate_aut(psi)
         failures += not got[0]
     assert failures
+
+
+def test_validate_aut_on_m2_at_length_four(families):
+    """Every word of the m2 family up to length 4 against its two dense
+    sides; one perturbed entry of a length-4 word map fails at that word,
+    at the basis pair of the first column where its dense sides differ."""
+    phi = families["m2 N=4"]
+    assert len(phi.maps) == 84
+    assert validate_aut(phi) == (True, None)
+    words = [w for k in range(phi.N + 1) for w in itertools.product(range(phi.n_letters), repeat=k)]
+    assert all(lhs == rhs for lhs, rhs in map(functools.partial(dense_sides, phi), words))
+    rng = random.Random("bump m2 N=4")
+    w = rng.choice(sorted(v for v in phi.maps if len(v) == 4))
+    bad = phi.maps[w].copy()
+    bad.rows[rng.randrange(bad.nrows)][rng.randrange(bad.ncols)] += Fraction(1, 3)
+    psi = AutFamily(phi.B, phi.n_letters, phi.N, {**phi.maps, w: bad})
+    lhs, rhs = dense_sides(psi, w)
+    a = phi.B.A.dim
+    col = next(c for c in range(a * a) if lhs.col(c) != rhs.col(c))
+    assert validate_aut(psi) == (False, (w, col // a, col % a))
 
 
 def reference_compose_D(Q: DiffOperator, P: DiffOperator) -> DiffOperator:
