@@ -196,6 +196,9 @@ class GradedTarget:
     def __init__(self, A: FinAlgebra):
         self.A = A
         self._mB_cache: dict[tuple[int, int], Matrix] = {}
+        # the Leibniz templates per (core, grade), which
+        # `operators._leibniz_templates` builds and shares
+        self._leibniz_cache: dict[tuple[tuple[int, ...], int], list] = {}
 
     def comp_dim(self, g: int) -> int:
         return self.A.dim ** (g + 1)

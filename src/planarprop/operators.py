@@ -360,7 +360,7 @@ def _iter_constraints(core: tuple[int, ...], grade: int):
 def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
     """The Leibniz system of a shape core at a fixed total grade, one
     constraint block (kappa, i, g) at a time, in the order of
-    `_iter_constraints`: tuples (template, own, shifts).
+    `_iter_constraints`: tuples (template, own, rests, outs).
 
     For block (kappa, g), slot i, inputs `rest` in the other slots, `pre`
     and `post` output coordinates of the slots before and after slot i,
@@ -381,9 +381,11 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
     the block (kappa, g) itself, the columns in the range `own`, move by
     the first entry of a shift; its terms in the refined blocks move by
     the second, as `_split` reads them for the solver (`_copies`) and the
-    checker (`check_leibniz`) alike.  `shifts` lists one pair per copy,
-    (0, 0) first; the copies lie on pairwise disjoint columns, and a
-    block has one copy exactly when kappa has one part."""
+    checker (`check_leibniz`) alike.  A copy's shift is the sum of one
+    pair of `rests` (the inputs of the other slots) and one of `outs`
+    (the output coordinates of the slots before and after slot i), and
+    `_shifts` lists them; the copies lie on pairwise disjoint columns,
+    and a block has one copy exactly when kappa has one part."""
     A = B.A
     a = A.dim
     c = [[[_exact(x) for x in row] for row in plane] for plane in A.mult]
@@ -446,7 +448,7 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
                     eq = {j: v for j, v in eq.items() if v}
                     if eq:
                         template.append(eq)
-        shifts = []
+        rests = []
         for rest in itertools.product(range(a), repeat=d - 1):
             head = 0
             for t in rest[:i]:
@@ -454,15 +456,15 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
             low = 0
             for t in rest[i:]:
                 low = low * a + t
-            for pre in range(P):
-                for post in range(Q):
-                    shifts.append(
-                        (
-                            (pre * S * Q + post) * nc + head * a * tail + low,
-                            (pre * S2 * Q + post) * nc2 + head * a * a * tail + low,
-                        )
-                    )
-        yield template, range(base, base + nr * nc), shifts
+            rests.append((head * a * tail + low, head * a * a * tail + low))
+        outs = [((pre * S * Q + post) * nc, (pre * S2 * Q + post) * nc2) for pre in range(P) for post in range(Q)]
+        yield template, range(base, base + nr * nc), rests, outs
+
+
+def _shifts(rests, outs) -> list[tuple[int, int]]:
+    """The shifts of a block's copies, (0, 0) first: each pair of `rests`
+    plus each pair of `outs`, the outputs fastest."""
+    return [(r0 + o0, r1 + o1) for r0, r1 in rests for o0, o1 in outs]
 
 
 def _split(rows, own: range) -> list[list[tuple[int, int, bool]]]:
@@ -474,15 +476,35 @@ def _split(rows, own: range) -> list[list[tuple[int, int, bool]]]:
 
 def _copies(rows, own: range, shifts):
     """Each row moved by each shift of its block, shift by shift, as a
-    new dict per copy; the rows themselves when the block has a single
-    copy."""
-    if len(shifts) == 1:
+    new dict per copy; the rows themselves when the only shift is (0, 0)."""
+    if shifts == [(0, 0)]:
         yield from rows
         return
     split = _split(rows, own)
     for shift in shifts:
         for terms in split:
             yield {j + shift[k]: v for j, v, k in terms}
+
+
+def _leibniz_templates(B: GradedTarget, core: tuple[int, ...], grade: int) -> list:
+    """The blocks of `_leibniz_blocks` as a list, built once per (core,
+    grade) and target and shared by the solver and `check_leibniz`, so
+    no caller writes into a template.  It holds a block's shifts as
+    their `rests` and `outs`, not their product, which would outweigh
+    the templates many times over."""
+    key = (core, grade)
+    if key not in B._leibniz_cache:
+        B._leibniz_cache[key] = list(_leibniz_blocks(B, core, grade))
+    return B._leibniz_cache[key]
+
+
+def _slot_coordinate(a: int, g: tuple[int, ...], j: int):
+    """The slot-j coordinate of an offset into a block at grade vector g:
+    slot j's output coordinate and input basis index, as one int."""
+    S = a ** (g[j] + 1)
+    right = a ** (len(g) + sum(gk + 1 for gk in g[j + 1 :]))  # nc times the later outputs
+    tail = a ** (len(g) - 1 - j)
+    return lambda o: o // right % S * a + o // tail % a
 
 
 def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEchelon]:
@@ -500,15 +522,40 @@ def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEc
     (kappa of one part, so every block of a single-slot shape's coarsest
     refinement and all of shape (1,)) is fed as it is, since eliminating
     its template first would eliminate it twice.  A shape with no
-    positive slot has one 1x1 block at grade 0, none above, no rows."""
+    positive slot has one 1x1 block at grade 0, none above, no rows.
+
+    The skip rule: within one (kappa, g), slot i's copies are fed only
+    at shifts that put no earlier slot j at a lead x_j of slot j's
+    reduced template in the block's own columns, x_j read as slot j's
+    output coordinate and input basis index (`_slot_coordinate`).  The
+    skipped copies lie in the span of the fed rows.  Take slot i's
+    reduced row R_i and slot j's R_j with lead x_j, and their product
+    R_i (x) R_j, the two constraints applied to slots i and j at once.
+    It is a combination of slot-j copies in kappa and in the block that
+    splits slot i; it is also one of slot-i copies in kappa, at x_j and
+    at slot j's non-lead own coordinates, and of copies in the block
+    that splits slot j.  The split blocks are finer, so fed earlier, and
+    solving for the slot-i copy at x_j leaves copies whose smallest
+    earlier-slot lead index is larger; induction on that index ends the
+    argument.  So the fed rows span the whole system, and its RREF, the
+    dimension and the basis are those of every copy fed."""
     layout = vector_layout(B, shape, grade)
+    core = _positive(tuple(shape))
+    a = B.A.dim
     ech = SparseEchelon(layout["total"])
-    for template, own, shifts in _leibniz_blocks(B, _positive(tuple(shape)), grade):
+    blocks = zip(_iter_constraints(core, grade), _leibniz_templates(B, core, grade))
+    for (_, i, g), (template, own, *axes) in blocks:
+        shifts = _shifts(*axes)
         if len(shifts) > 1:
             reduced = SparseEchelon(layout["total"])
             for row in template:
                 reduced.add_row(row)
             template = reduced.pivot_rows.values()
+            if i == 0:
+                earlier = []  # (slot coordinate, its leads) per slot j < i
+            shifts = [sh for sh in shifts if not any(at(sh[0]) in leads for at, leads in earlier)]
+            at = _slot_coordinate(a, g, i)
+            earlier.append((at, {at(lead - own.start) for lead in reduced.pivot_rows if lead in own}))
         for row in _copies(template, own, shifts):
             ech.add_row(row)
     return layout, ech
@@ -556,7 +603,7 @@ def solve_Dn(B: GradedTarget, n: int, grade: int = 0) -> list[DiffOperator]:
 
 def check_leibniz(P: DiffOperator) -> bool:
     """The defining invariant: every row of the Leibniz system vanishes on
-    the operator's coordinates.  Each template of `_leibniz_blocks` is
+    the operator's coordinates.  Each template of `_leibniz_templates` is
     evaluated at each copy's shift directly on the coordinates (a block
     with one copy is its template, read as it is), and the check stops at
     the first row that does not vanish.  False when a block lies outside
@@ -565,7 +612,8 @@ def check_leibniz(P: DiffOperator) -> bool:
     if vec is None:
         return False
     vec = _integral(vec)
-    for template, own, shifts in _leibniz_blocks(P.B, P.core, P.grade):
+    for template, own, *axes in _leibniz_templates(P.B, P.core, P.grade):
+        shifts = _shifts(*axes)
         if len(shifts) == 1:
             if any(sum(v * vec.get(j, 0) for j, v in row.items()) for row in template):
                 return False

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from planarprop import linalg
+from planarprop import linalg, operators
 from planarprop.algebras import (
     STANDARD_ALGEBRAS,
     FinAlgebra,
@@ -29,7 +29,17 @@ from planarprop.algebras import (
     m2,
 )
 from planarprop.linalg import Matrix
-from planarprop.operators import _copies, _leibniz_blocks, check_leibniz, dim_D, op_vector, solve_D, vector_layout
+from planarprop.operators import (
+    DiffOperator,
+    _copies,
+    _leibniz_blocks,
+    _shifts,
+    check_leibniz,
+    dim_D,
+    op_vector,
+    solve_D,
+    vector_layout,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -62,8 +72,8 @@ ZERO = [("k2", (1,), 0), ("k2", (2,), 0), ("k2", (1, 1), 0), ("k2", (1, 1), 1)]
 
 def leibniz_rows(B, core, grade):
     """The full Leibniz system: every copy of every template row."""
-    for template, own, shifts in _leibniz_blocks(B, core, grade):
-        yield from _copies(template, own, shifts)
+    for template, own, *axes in _leibniz_blocks(B, core, grade):
+        yield from _copies(template, own, _shifts(*axes))
 
 
 def conjugate(name: str) -> FinAlgebra:
@@ -83,6 +93,16 @@ def conjugate(name: str) -> FinAlgebra:
 @functools.lru_cache(maxsize=None)
 def target(name: str) -> GradedTarget:
     return GradedTarget(conjugate(name))
+
+
+def corpus_target(name: str, kind: str) -> GradedTarget:
+    """A target of the corpus: a standard algebra ("std"), its dense
+    conjugate ("conj") or a spec of tests/data ("spec")."""
+    if kind == "conj":
+        return target(name)
+    if kind == "spec":
+        return GradedTarget(load_algebra(DATA / f"{name}.json"))
+    return GradedTarget(STANDARD_ALGEBRAS[name]())
 
 
 @functools.lru_cache(maxsize=None)
@@ -263,10 +283,7 @@ def test_definition_system_agrees_with_the_solver(case):
     from test_linalg import ReferenceEchelon  # test_linalg imports this module
 
     name, kind, shape, grade = case
-    if kind == "spec":
-        B = GradedTarget(load_algebra(DATA / f"{name}.json"))
-    else:
-        B = target(name) if kind == "conj" else GradedTarget(STANDARD_ALGEBRAS[name]())
+    B = corpus_target(name, kind)
     unknowns, rows = definition_system(B, shape, grade)
     column = {key: j for j, key in enumerate(unknowns)}
     assert len(column) == len(unknowns) == vector_layout(B, shape, grade)["total"]
@@ -286,26 +303,60 @@ def test_definition_system_agrees_with_the_solver(case):
         assert not any(sum(v * coordinate(*key) for key, v in row.items()) for row in rows)
 
 
-# Row reductions (`linalg._eliminate` calls) of one solve_D at an order,
-# with the system fed finest refinement first and each block with more
-# than one copy reduced as one template, template eliminations included.
-ELIMINATIONS = {("conj", 3): 1044, ("std", 4): 2032}
+# Row reductions (`linalg._eliminate` calls) and rows fed
+# (`SparseEchelon.add_row` calls) of one solve_D at an order, with the
+# system fed finest refinement first, each block with more than one copy
+# reduced as one template, and a slot's copies skipped at an earlier
+# slot's template leads; template rows and eliminations included.
+ELIMINATIONS = {("conj", 3): 621, ("std", 4): 673}
+ROWS_FED = {("conj", 3): 182, ("std", 4): 768}
 
 
 @pytest.mark.parametrize("case", sorted(ELIMINATIONS), ids=str)
 def test_dualnum_elimination_work_does_not_grow(case, monkeypatch):
     kind, order = case
-    B = target("dualnum") if kind == "conj" else GradedTarget(dual_numbers())
-    calls = []
-    eliminate = linalg._eliminate
+    B = corpus_target("dualnum", kind)
+    calls, fed = [], []
+    eliminate, add_row = linalg._eliminate, linalg.SparseEchelon.add_row
 
     def counted(row, piv, lead):
         calls.append(lead)
         eliminate(row, piv, lead)
 
+    def counted_add(self, row):
+        fed.append(row)
+        return add_row(self, row)
+
     monkeypatch.setattr(linalg, "_eliminate", counted)
+    monkeypatch.setattr(linalg.SparseEchelon, "add_row", counted_add)
     solve_D(B, (order,), 0)
     assert len(calls) <= ELIMINATIONS[case]
+    assert len(fed) <= ROWS_FED[case]
+
+
+def test_check_leibniz_builds_the_templates_once_per_target(monkeypatch):
+    """`check_leibniz` and the solver read one cached list of templates per
+    target, core and grade: a second check builds none and keeps its
+    verdicts."""
+    built = []
+
+    def counted(B, core, grade):
+        built.append((core, grade))
+        return _leibniz_blocks(B, core, grade)
+
+    monkeypatch.setattr(operators, "_leibniz_blocks", counted)
+    ops = solve_D(GradedTarget(dual_numbers()), (2, 1), 1)
+    assert built == [((2, 1), 1)]
+    B = GradedTarget(dual_numbers())
+    fresh = [DiffOperator.from_json(B, P.to_json()) for P in ops]
+    # one entry added to the coarsest block breaks the system
+    bump = Matrix.from_entries(8, 4, 1, [(0, 0, 1)])
+    broken = fresh[0].add(DiffOperator(B, (2, 1), 1, {(2, 1): {(0, 1): bump}}))
+    first = [check_leibniz(P) for P in fresh + [broken]]
+    assert built == [((2, 1), 1)] * 2
+    assert [check_leibniz(P) for P in fresh + [broken]] == first == [True] * len(ops) + [False]
+    assert dim_D(B, (2, 1), 1) == len(ops)
+    assert built == [((2, 1), 1)] * 2
 
 
 @pytest.mark.parametrize("kind", ["std", "conj"])

@@ -8,10 +8,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from planarprop.algebras import STANDARD_ALGEBRAS, GradedTarget
+from planarprop.algebras import STANDARD_ALGEBRAS
 from planarprop.linalg import Q0, Q1, Matrix, SparseEchelon, _eliminate, _integral, in_span, span_rank
 from planarprop.operators import _leibniz_echelon, vector_layout
-from test_leibniz import leibniz_rows, target
+from test_leibniz import DATA, corpus_target, leibniz_rows, target
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -685,21 +685,59 @@ REPLICATED_CASES = [
     # m2 has no (3,) case; the reference takes minutes on its dense
     # conjugate at (2, 1) grade 1 and (1, 0, 2)
     if not (name == "m2" and (shape == (3,) or kind == "conj" and shape in ((2, 1), (1, 0, 2))))
+] + [
+    # earlier slots that are not single parts
+    (name, "spec", shape, grade)
+    for name in ("kx3", "kxy2", "t2")
+    for shape, grade in [((2, 1), 1), ((1, 2), 1), ((2, 2), 0), ((3,), 0)]
+    # the reference takes about 4 s on kxy2 at (2, 2)
+    if not (name == "kxy2" and shape == (2, 2))
 ]
 
 
-@pytest.mark.parametrize("case", REPLICATED_CASES, ids=str)
-def test_leibniz_echelon_matches_reference_fed_every_row(case):
-    """`_leibniz_echelon` feeds a block with one copy as it is and
-    replicates the reduced template of any other block; its RREF is that
-    of the reference fed every row of `leibniz_rows`."""
-    name, kind, shape, grade = case
-    B = target(name) if kind == "conj" else GradedTarget(STANDARD_ALGEBRAS[name]())
+def assert_echelon_matches_reference(B, shape, grade):
     layout, ech = _leibniz_echelon(B, shape, grade)
     ref = ReferenceEchelon(layout["total"])
     for row in leibniz_rows(B, tuple(x for x in shape if x), grade):
         ref.add_row(row)
     assert ech.rref() == ref.rref()
+
+
+@pytest.mark.parametrize("case", REPLICATED_CASES, ids=str)
+def test_leibniz_echelon_matches_reference_fed_every_row(case):
+    """`_leibniz_echelon` feeds a block with one copy as it is, replicates
+    the reduced template of any other block and skips a slot's copies at
+    an earlier slot's template leads; its RREF is that of the reference
+    fed every row of `leibniz_rows`."""
+    name, kind, shape, grade = case
+    assert_echelon_matches_reference(corpus_target(name, kind), shape, grade)
+
+
+CORPUS = (
+    [(name, "std") for name in sorted(STANDARD_ALGEBRAS)]
+    + [(path.stem, "spec") for path in sorted(DATA.glob("*.json"))]
+    + [("dualnum", "conj"), ("k2", "conj")]
+)
+CORES = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]
+
+
+@st.composite
+def st_corpus_systems(draw):
+    """A target of the corpus, a shape of at most 3 parts and order at most
+    3, and a grade at most 1 where the system has at most 10,000 unknowns
+    (the reference takes about 0.5 s there; order 3 at grade 1 on an
+    algebra of dimension 4 has 50,000)."""
+    B = corpus_target(*draw(st.sampled_from(CORPUS)))
+    parts = draw(st.sampled_from(CORES))
+    shape = tuple(draw(st.permutations(parts + (0,) * draw(st.integers(0, 3 - len(parts))))))
+    grade = draw(st.sampled_from([g for g in (0, 1) if vector_layout(B, shape, g)["total"] <= 10_000]))
+    return B, shape, grade
+
+
+@settings(max_examples=40, deadline=None)
+@given(st_corpus_systems())
+def test_leibniz_echelon_matches_reference_over_the_corpus(case):
+    assert_echelon_matches_reference(*case)
 
 
 @given(st_rows_with_repeats(), st.data())

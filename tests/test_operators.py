@@ -437,6 +437,15 @@ def test_dimension_is_the_sum_of_slotwise_products(targets, case):
     assert dim_D(B, shape, grade) == expected
 
 
+@pytest.mark.parametrize("case", [("m2", 4, 192), ("dualnum", 8, 128)], ids=str)
+def test_whole_system_dimension_at_a_scale_row(targets, case):
+    """dim D_(n) from the whole Leibniz system at two rows the fiber-product
+    prototype also reached: m2 (4,) on 78,608 unknowns and dualnum (8,)
+    on 312,500."""
+    name, n, expected = case
+    assert dim_D(targets[name], (n,), 0) == expected
+
+
 class TestExtendDegenerate:
     def test_unit_insertion_matches_block_structure(self, targets):
         B = targets["dualnum"]
