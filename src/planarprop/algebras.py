@@ -16,10 +16,10 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import lcm
+from itertools import compress, product
+from math import gcd, lcm
 
-from .linalg import Matrix, Q0, Q1, SparseEchelon, _exact, format_rationals, parse_rationals
+from .linalg import Matrix, Q0, Q1, SparseEchelon, _eliminate, _exact, format_rationals, parse_rationals
 
 
 class AlgebraError(ValueError):
@@ -224,6 +224,65 @@ class GradedTarget:
                     by_out[z][1].append(c)
         return den, by_right, [(tuple(pq), tuple(c)) for pq, c in by_out]
 
+    @functools.cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Increasing basis indices G whose words of length at least one
+        span A, chosen greedily: index k joins G when e_k lies outside the
+        span W of the words of the earlier members, and W is then closed
+        again as span(G) + G W.  `operators._leibniz_blocks` feeds an
+        order-one slot's rows only for first inputs in G.  It presumes A
+        associative, as every CLI path checks first (`check_algebra`).
+
+        The closure multiplies each new vector of W by each member on the
+        left, skips a product it has already found (up to a scalar) and
+        stops at full rank, so a basis whose products are multiples of
+        basis vectors, as the standard ones, needs no row reduction."""
+        a = self.A.dim
+        _, by_right, _ = self._constants
+        by_left = [[[] for _ in range(a)] for _ in range(a)]  # [p][q] -> (z, c) of e_p e_q
+        for q, terms in enumerate(by_right):
+            for p, z, c in terms:
+                by_left[p][q].append((z, c))
+        pivots: dict[int, dict[int, int]] = {}  # W's rows by lead, reduced lead by lead
+        found = set()  # the primitive forms of the vectors met
+
+        def times(p, v):
+            out: dict[int, int] = {}
+            for q, x in v.items():
+                for z, c in by_left[p][q]:
+                    out[z] = out.get(z, 0) + x * c
+            return {z: y for z, y in out.items() if y}
+
+        def new(v) -> bool:
+            """Whether v, met for the first time, adds to W (then kept)."""
+            g = gcd(*v.values()) * (1 if v[min(v)] > 0 else -1)
+            key = tuple(sorted((z, y // g) for z, y in v.items()))
+            if key in found:
+                return False
+            found.add(key)
+            while v and min(v) in pivots:
+                lead = min(v)
+                _eliminate(v, pivots[lead], lead)
+            if v:
+                pivots[min(v)] = v
+            return bool(v)
+
+        gens: list[int] = []
+        for k in range(a):
+            if len(pivots) == a:
+                break
+            basis = list(pivots.values())
+            e = {k: 1}
+            if not new(e):
+                continue
+            gens.append(k)
+            queue = [times(k, w) for w in basis] + [times(g, e) for g in gens]
+            while queue and len(pivots) < a:
+                v = queue.pop()
+                if v and new(v):
+                    queue += [times(g, v) for g in gens]
+        return tuple(gens)
+
     def mB_matrix(self, g: int, h: int) -> Matrix:
         """Multiplication B_g x B_h -> B_{g+h} as a matrix from the
         Kronecker-ordered tensor basis: I_{a^g} (x) m (x) I_{a^h}, which
@@ -282,17 +341,16 @@ class GradedTarget:
             # w(p, z, v) keyed by its index (p a + z) right + v, dense of width q2
             block = a * right
             w: dict[int, list[int]] = {}
-            for r, c in enumerate(cols2):
-                if c:
-                    q, v = divmod(r, right)
-                    n = nums2[r]
-                    for p, z, cc in by_right[q]:
-                        key = p * block + z * right + v
-                        vec = w.get(key)
-                        if vec is None:
-                            vec = w[key] = [0] * q2
-                        for y, t in zip(c, n):
-                            vec[y] += cc * t
+            for r in compress(range(len(cols2)), cols2):
+                q, v = divmod(r, right)
+                c, n = cols2[r], nums2[r]
+                for p, z, cc in by_right[q]:
+                    key = p * block + z * right + v
+                    vec = w.get(key)
+                    if vec is None:
+                        vec = w[key] = [0] * q2
+                    for y, t in zip(c, n):
+                        vec[y] += cc * t
             # per p, the nonzero w(p, z, v) as (z right + v, sparse row)
             by_p = [[] for _ in range(a)]
             for key, vec in w.items():
@@ -301,11 +359,11 @@ class GradedTarget:
                     p, key = divmod(key, block)
                     by_p[p].append((key, row))
             scale = den // (d1 * d2)
-            for r, c in enumerate(cols1):
+            for r in compress(range(len(cols1)), cols1):
                 rows2 = by_p[r % a]
-                if not c or not rows2:
+                if not rows2:
                     continue
-                row1 = [(x * q2, s * scale) for x, s in zip(c, nums1[r])]
+                row1 = [(x * q2, s * scale) for x, s in zip(cols1[r], nums1[r])]
                 start = r // a * block
                 for key, row2 in rows2:
                     acc = accs.get(start + key)

@@ -287,25 +287,24 @@ class Matrix:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         da, acols, anums = self.form()
         db, bcols, bnums = other.form()
-        p = other.ncols
-        cols, nums = [], []
-        for ac, an in zip(acols, anums):
-            if not ac:
-                cols.append(())
-                nums.append(())
-            elif len(ac) == 1:
+        p, n = other.ncols, self.nrows
+        # only the nonzero rows of self are visited; the others stay empty
+        cols, nums = [()] * n, [()] * n
+        for i in compress(range(n), acols):
+            ac, an = acols[i], anums[i]
+            if len(ac) == 1:
                 # one entry: the row of other it picks, scaled
                 k, a = ac[0], an[0]
-                cols.append(bcols[k])
-                nums.append(bnums[k] if a == 1 else tuple([a * b for b in bnums[k]]))
+                cols[i] = bcols[k]
+                nums[i] = bnums[k] if a == 1 else tuple([a * b for b in bnums[k]])
             else:
                 acc = [0] * p
                 for k, a in zip(ac, an):
                     for j, b in zip(bcols[k], bnums[k]):
                         acc[j] += a * b
-                cols.append(tuple(compress(range(p), acc)))
-                nums.append(tuple(filter(None, acc)))
-        return Matrix.from_form(self.nrows, p, da * db, cols, nums)
+                cols[i] = tuple(compress(range(p), acc))
+                nums[i] = tuple(filter(None, acc))
+        return Matrix.from_form(n, p, da * db, cols, nums)
 
     def apply(self, vec: Sequence) -> list[Fraction]:
         """Matrix-vector product."""

@@ -360,7 +360,7 @@ def _iter_constraints(core: tuple[int, ...], grade: int):
 def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
     """The Leibniz system of a shape core at a fixed total grade, one
     constraint block (kappa, i, g) at a time, in the order of
-    `_iter_constraints`: tuples (template, own, rests, outs).
+    `_iter_constraints`: tuples (template, own, rests, outs, spanning).
 
     For block (kappa, g), slot i, inputs `rest` in the other slots, `pre`
     and `post` output coordinates of the slots before and after slot i,
@@ -385,7 +385,12 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
     pair of `rests` (the inputs of the other slots) and one of `outs`
     (the output coordinates of the slots before and after slot i), and
     `_shifts` lists them; the copies lie on pairwise disjoint columns,
-    and a block has one copy exactly when kappa has one part."""
+    and a block has one copy exactly when kappa has one part.
+
+    For a slot of order one (kappa_i = 1) the r run over `B.generators`
+    first, and the template's first `spanning` rows are those with r a
+    generator, which span its rows (see `_leibniz_echelon`); otherwise
+    `spanning` counts every row."""
     A = B.A
     a = A.dim
     c = [[[_exact(x) for x in row] for row in plane] for plane in A.mult]
@@ -396,6 +401,9 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
     left = [[[(j, c[r][j][x]) for j in range(a) if c[r][j][x]] for x in range(a)] for r in range(a)]
     right = [[[(j, c[j][r][x]) for j in range(a) if c[j][r][x]] for x in range(a)] for r in range(a)]
     junction = [[(u, v, c[u][v][k]) for u in range(a) for v in range(a) if c[u][v][k]] for k in range(a)]
+    # an order-one slot's first inputs, the generators first
+    gens = B.generators
+    firsts = gens + tuple(r for r in range(a) if r not in gens)
 
     for kappa, i, g in _iter_constraints(core, grade):
         d = len(kappa)
@@ -424,8 +432,8 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
                     top, k, lo = sl // (w * a), sl // w % a, sl % w
                     for u, v, cv in junction[k]:
                         jterms[sl].append((off2 + (((top * a + u) * a + v) * w + lo) * Q * nc2, cv))
-        template = []
-        for r in range(a):
+        template, spanning = [], 0
+        for r in firsts if kappa[i] == 1 else range(a):
             for s in range(a):
                 pr = [(k * tail, v) for k, v in prod[r][s]]
                 lt, rt = lterms[r], rterms[s]
@@ -448,6 +456,8 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
                     eq = {j: v for j, v in eq.items() if v}
                     if eq:
                         template.append(eq)
+            if kappa[i] > 1 or r in gens:
+                spanning = len(template)
         rests = []
         for rest in itertools.product(range(a), repeat=d - 1):
             head = 0
@@ -458,7 +468,7 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
                 low = low * a + t
             rests.append((head * a * tail + low, head * a * a * tail + low))
         outs = [((pre * S * Q + post) * nc, (pre * S2 * Q + post) * nc2) for pre in range(P) for post in range(Q)]
-        yield template, range(base, base + nr * nc), rests, outs
+        yield template, range(base, base + nr * nc), rests, outs, spanning
 
 
 def _shifts(rests, outs) -> list[tuple[int, int]]:
@@ -520,7 +530,7 @@ def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEc
     disjoint columns, so they span the same rows as the copies of the
     template.  A block with a single copy
     (kappa of one part, so every block of a single-slot shape's coarsest
-    refinement and all of shape (1,)) is fed as it is, since eliminating
+    refinement and all of shape (1,)) is fed directly, since eliminating
     its template first would eliminate it twice.  A shape with no
     positive slot has one 1x1 block at grade 0, none above, no rows.
 
@@ -538,17 +548,36 @@ def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEc
     solving for the slot-i copy at x_j leaves copies whose smallest
     earlier-slot lead index is larger; induction on that index ends the
     argument.  So the fed rows span the whole system, and its RREF, the
-    dimension and the basis are those of every copy fed."""
+    dimension and the basis are those of every copy fed.
+
+    The generator rule: a block whose slot i has order one is fed, to its
+    template's echelon or directly, only its first `spanning` rows, those
+    whose first input r lies in `B.generators`.  Write row(r, s) for the
+    constraint D(rs) - r D(s) - D(r) s of slot i at one copy, valued in
+    slot i's output; r acts on its first factor and s on its last.  By
+    associativity
+
+        row(pq, s) = row(p, qs) + p row(q, s) - row(p, q) s,
+
+    and the three terms on the right are rows of the same copy, combined
+    through the actions on slot i's outer factors.  Induction on the
+    length of a word in the generators puts row(w, s) in the span of the
+    rows with r a generator, and the words span A, so those rows span
+    the block.  Its reduced template, the leads the skip rule reads and
+    the RREF are unchanged.  A block with one copy is fed its rows in
+    decreasing order of their first columns, so its pivots arrive from
+    the right and each new one has few stored rows to clear; the RREF
+    does not depend on the order of the rows."""
     layout = vector_layout(B, shape, grade)
     core = _positive(tuple(shape))
     a = B.A.dim
     ech = SparseEchelon(layout["total"])
     blocks = zip(_iter_constraints(core, grade), _leibniz_templates(B, core, grade))
-    for (_, i, g), (template, own, *axes) in blocks:
-        shifts = _shifts(*axes)
+    for (_, i, g), (template, own, rests, outs, spanning) in blocks:
+        shifts = _shifts(rests, outs)
         if len(shifts) > 1:
             reduced = SparseEchelon(layout["total"])
-            for row in template:
+            for row in template[:spanning]:
                 reduced.add_row(row)
             template = reduced.pivot_rows.values()
             if i == 0:
@@ -556,6 +585,8 @@ def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEc
             shifts = [sh for sh in shifts if not any(at(sh[0]) in leads for at, leads in earlier)]
             at = _slot_coordinate(a, g, i)
             earlier.append((at, {at(lead - own.start) for lead in reduced.pivot_rows if lead in own}))
+        else:
+            template = sorted(template[:spanning], key=min, reverse=True)
         for row in _copies(template, own, shifts):
             ech.add_row(row)
     return layout, ech
@@ -604,7 +635,8 @@ def solve_Dn(B: GradedTarget, n: int, grade: int = 0) -> list[DiffOperator]:
 def check_leibniz(P: DiffOperator) -> bool:
     """The defining invariant: every row of the Leibniz system vanishes on
     the operator's coordinates.  Each template of `_leibniz_templates` is
-    evaluated at each copy's shift directly on the coordinates (a block
+    evaluated, every row of it and not only the `spanning` rows the
+    solver feeds, at each copy's shift directly on the coordinates (a block
     with one copy is its template, read as it is), and the check stops at
     the first row that does not vanish.  False when a block lies outside
     the layout of the shape and grade."""
@@ -612,8 +644,8 @@ def check_leibniz(P: DiffOperator) -> bool:
     if vec is None:
         return False
     vec = _integral(vec)
-    for template, own, *axes in _leibniz_templates(P.B, P.core, P.grade):
-        shifts = _shifts(*axes)
+    for template, own, rests, outs, _ in _leibniz_templates(P.B, P.core, P.grade):
+        shifts = _shifts(rests, outs)
         if len(shifts) == 1:
             if any(sum(v * vec.get(j, 0) for j, v in row.items()) for row in template):
                 return False

@@ -7,9 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 from test_leibniz import conjugate
 
+from planarprop import algebras
 from planarprop.algebras import (
     STANDARD_ALGEBRAS,
     AlgebraError,
@@ -466,3 +468,96 @@ def test_hochschild_d_rejects_a_misshapen_cochain(shape):
         if shape != (2, 2**p):
             with pytest.raises(AlgebraError, match="cochain"):
                 hochschild_d(c, p, 0, B)
+
+
+# The generators of an algebra, checked by multiplying out every word of
+# length 1 to dim over a set of basis vectors with `mul_vec` and taking
+# ranks with sympy: the span of the words of length at most L grows
+# strictly with L until it is closed, so length dim reaches the closure.
+
+def reordered(A: FinAlgebra, order) -> FinAlgebra:
+    """A on its basis taken in the given order: new e_i is old e_order[i]."""
+    mult = tuple(tuple(tuple(A.mult[p][q][z] for z in order) for q in order) for p in order)
+    B = FinAlgebra(A.dim, mult, tuple(A.unit[z] for z in order))
+    check_algebra(B)
+    return B
+
+
+def kx4_by_powers() -> FinAlgebra:
+    """k[x]/(x^4) on the basis (x, x^2, x^3, 1): x^3 is a word of length
+    three in x, so the search must close the span beyond products of two."""
+    power = (1, 2, 3, 0)
+    mult = tuple(
+        tuple(tuple(Fraction(int(power[p] + power[q] == power[z])) for z in range(4)) for q in range(4))
+        for p in range(4)
+    )
+    A = FinAlgebra(4, mult, (Fraction(0),) * 3 + (Fraction(1),))
+    check_algebra(A)
+    return A
+
+
+GENERATOR_CORPUS = {
+    **CORPUS,
+    "k[x]/(x^3) rescaled": rescaled_kx3,
+    **{f"{path.stem}.json": functools.partial(load_algebra, path) for path in sorted(DATA.glob("*.json"))},
+    # bases whose later vectors are words in earlier ones before the
+    # span is full, so the greedy choice skips them
+    "k[x]/(x^4) by powers": kx4_by_powers,
+    "k[x,y]/(x^2,y^2) on (y, x, xy, 1)": lambda: reordered(load_algebra(DATA / "kxy2.json"), (1, 2, 3, 0)),
+}
+
+
+def word_vectors(A: FinAlgebra, members) -> list:
+    """The products of every word of length 1 to dim over the members."""
+    layer = [A.basis_vec(g) for g in members]
+    words = []
+    for _ in range(A.dim):
+        words += layer
+        layer = [A.mul_vec(A.basis_vec(g), w) for g in members for w in layer]
+    return words
+
+
+def rank(vectors) -> int:
+    return sympy.Matrix(vectors).rank() if vectors else 0
+
+
+@pytest.mark.parametrize("name", GENERATOR_CORPUS)
+def test_generators_are_chosen_greedily_and_span(name):
+    """The words of the generators span A, and a basis index is a
+    generator exactly when its vector lies outside the span of the words
+    of the generators before it."""
+    A = GENERATOR_CORPUS[name]()
+    gens = GradedTarget(A).generators
+    assert list(gens) == sorted(set(gens)) and gens
+    assert rank(word_vectors(A, gens)) == A.dim
+    for k in range(A.dim):
+        words = word_vectors(A, [g for g in gens if g < k])
+        assert (k in gens) == (rank(words + [A.basis_vec(k)]) > rank(words)), k
+
+
+def test_generators_are_pinned():
+    """E11, E12 and E21 generate the 2x2 matrices (E21 E12 = E22), and x
+    with 1 generates k[x]/(x^3); a dense conjugate of m2 needs two."""
+    assert GradedTarget(m2()).generators == (0, 1, 2)
+    assert GradedTarget(load_algebra(DATA / "kx3.json")).generators == (0, 1)
+    assert GradedTarget(conjugate("m2")).generators == (0, 1)
+    assert GradedTarget(conjugate("dualnum")).generators == (0,)
+    assert GradedTarget(dual_numbers()).generators == (0, 1)
+    assert GradedTarget(kx4_by_powers()).generators == (0, 3)
+
+
+def test_generators_of_the_standard_bases_need_no_row_reduction(algebra, monkeypatch):
+    """Each product of two standard basis vectors is a multiple of one or
+    zero, so the search meets only vectors it has found or new pivots."""
+    calls = []
+    eliminate = algebras._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        eliminate(*args)
+
+    monkeypatch.setattr(algebras, "_eliminate", counted)
+    assert GradedTarget(algebra).generators
+    assert calls == []
+    assert GradedTarget(conjugate("m2")).generators == (0, 1)
+    assert calls

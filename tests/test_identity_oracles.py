@@ -113,28 +113,37 @@ def reference_check_mP(P: DiffOperator, d: int) -> bool:
 def reference_validate_aut(phi: AutFamily) -> tuple[bool, tuple | None]:
     """Multiplicativity checked on each word and each basis pair, pairs in
     lexicographic order."""
-    B = phi.B
-    a = B.A.dim
     words = (w for k in range(phi.N + 1) for w in itertools.product(range(phi.n_letters), repeat=k))
     for w in words:
-        k = len(w)
-        split_data = []
-        for cut in range(k + 1):
-            m1, m2_ = phi.word_map(w[:cut]), phi.word_map(w[cut:])
-            if m1.is_zero() or m2_.is_zero():
-                continue
-            split_data.append((B.mB_matrix(cut, k - cut), m1, m2_))
-        target = phi.word_map(w)
-        for i in range(a):
-            for j in range(a):
-                lhs = target.apply(B.A.mul_vec(B.A.basis_vec(i), B.A.basis_vec(j)))
-                rhs = [Fraction(0)] * len(lhs)
-                for mb, m1, m2_ in split_data:
-                    joint = [x * y for x in m1.col(i) for y in m2_.col(j)]
-                    rhs = [r + v for r, v in zip(rhs, mb.apply(joint))]
-                if lhs != rhs:
-                    return False, (w, i, j)
+        pair = reference_failing_pair(phi, w)
+        if pair is not None:
+            return False, (w, *pair)
     return True, None
+
+
+def reference_failing_pair(phi: AutFamily, w) -> tuple | None:
+    """The first basis pair (i, j), in lexicographic order, on which
+    multiplicativity fails at the word w, or None."""
+    B = phi.B
+    a = B.A.dim
+    k = len(w)
+    split_data = []
+    for cut in range(k + 1):
+        m1, m2_ = phi.word_map(w[:cut]), phi.word_map(w[cut:])
+        if m1.is_zero() or m2_.is_zero():
+            continue
+        split_data.append((B.mB_matrix(cut, k - cut), m1, m2_))
+    target = phi.word_map(w)
+    for i in range(a):
+        for j in range(a):
+            lhs = target.apply(B.A.mul_vec(B.A.basis_vec(i), B.A.basis_vec(j)))
+            rhs = [Fraction(0)] * len(lhs)
+            for mb, m1, m2_ in split_data:
+                joint = [x * y for x in m1.col(i) for y in m2_.col(j)]
+                rhs = [r + v for r, v in zip(rhs, mb.apply(joint))]
+            if lhs != rhs:
+                return i, j
+    return None
 
 
 def reference_extend_degenerate(P: DiffOperator, lam_prime) -> dict:
@@ -371,6 +380,10 @@ def test_validate_aut_on_m2_at_length_four(families):
     a = phi.B.A.dim
     col = next(c for c in range(a * a) if lhs.col(c) != rhs.col(c))
     assert validate_aut(psi) == (False, (w, col // a, col % a))
+    # the per-pair reference at that word, the only one whose two sides
+    # read the bumped map (the reference over all 121 words takes 50 s)
+    assert reference_failing_pair(phi, w) is None
+    assert reference_failing_pair(psi, w) == (col // a, col % a)
 
 
 def reference_compose_D(Q: DiffOperator, P: DiffOperator) -> DiffOperator:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from planarprop import linalg, operators
+from planarprop import algebras, linalg, operators
 from planarprop.algebras import (
     STANDARD_ALGEBRAS,
     FinAlgebra,
@@ -72,8 +72,8 @@ ZERO = [("k2", (1,), 0), ("k2", (2,), 0), ("k2", (1, 1), 0), ("k2", (1, 1), 1)]
 
 def leibniz_rows(B, core, grade):
     """The full Leibniz system: every copy of every template row."""
-    for template, own, *axes in _leibniz_blocks(B, core, grade):
-        yield from _copies(template, own, _shifts(*axes))
+    for template, own, rests, outs, _ in _leibniz_blocks(B, core, grade):
+        yield from _copies(template, own, _shifts(rests, outs))
 
 
 def conjugate(name: str) -> FinAlgebra:
@@ -304,18 +304,18 @@ def test_definition_system_agrees_with_the_solver(case):
 
 
 # Row reductions (`linalg._eliminate` calls) and rows fed
-# (`SparseEchelon.add_row` calls) of one solve_D at an order, with the
+# (`SparseEchelon.add_row` calls) of one solve_D at an order, on a target
+# built afresh, so the search for its generators is counted too, with the
 # system fed finest refinement first, each block with more than one copy
-# reduced as one template, and a slot's copies skipped at an earlier
-# slot's template leads; template rows and eliminations included.
-ELIMINATIONS = {("conj", 3): 621, ("std", 4): 673}
-ROWS_FED = {("conj", 3): 182, ("std", 4): 768}
+# reduced as one template, a slot's copies skipped at an earlier slot's
+# template leads, and an order-one slot's rows fed only for first inputs
+# among the generators; template rows and eliminations included.
+ELIMINATIONS = {("conj", 3): 576, ("std", 4): 673}
+ROWS_FED = {("conj", 3): 162, ("std", 4): 768}
 
 
-@pytest.mark.parametrize("case", sorted(ELIMINATIONS), ids=str)
-def test_dualnum_elimination_work_does_not_grow(case, monkeypatch):
-    kind, order = case
-    B = corpus_target("dualnum", kind)
+def solve_work(monkeypatch, B, shape, grade) -> tuple[list, int, int]:
+    """The basis of one solve_D, its row reductions and its rows fed."""
     calls, fed = [], []
     eliminate, add_row = linalg._eliminate, linalg.SparseEchelon.add_row
 
@@ -328,10 +328,47 @@ def test_dualnum_elimination_work_does_not_grow(case, monkeypatch):
         return add_row(self, row)
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
+    monkeypatch.setattr(algebras, "_eliminate", counted)
     monkeypatch.setattr(linalg.SparseEchelon, "add_row", counted_add)
-    solve_D(B, (order,), 0)
-    assert len(calls) <= ELIMINATIONS[case]
-    assert len(fed) <= ROWS_FED[case]
+    ops = solve_D(B, shape, grade)
+    monkeypatch.undo()
+    return ops, len(calls), len(fed)
+
+
+@pytest.mark.parametrize("case", sorted(ELIMINATIONS), ids=str)
+def test_dualnum_elimination_work_does_not_grow(case, monkeypatch):
+    kind, order = case
+    B = GradedTarget(corpus_target("dualnum", kind).A)
+    _, eliminations, fed = solve_work(monkeypatch, B, (order,), 0)
+    assert eliminations <= ELIMINATIONS[case]
+    assert fed <= ROWS_FED[case]
+
+
+# The same counts for the derivations of the dense m2 conjugate (grade
+# 0) and its double derivations (grade 1): two of its four basis vectors
+# generate it, so half of the 64 and 256 rows are fed.
+M2_DERIVATION_WORK = {0: (258, 32), 1: (1245, 128)}
+
+
+@pytest.mark.parametrize("grade", sorted(M2_DERIVATION_WORK))
+def test_dense_m2_derivation_work_does_not_grow(grade, monkeypatch):
+    _, eliminations, fed = solve_work(monkeypatch, GradedTarget(conjugate("m2")), (1,), grade)
+    assert eliminations <= M2_DERIVATION_WORK[grade][0]
+    assert fed <= M2_DERIVATION_WORK[grade][1]
+
+
+def test_check_leibniz_keeps_the_rows_the_solver_skips(monkeypatch):
+    """The solver feeds the one block of the dense m2 conjugate's double
+    derivations only its rows for the two generators' first inputs; the
+    cached template, which `check_leibniz` evaluates in full, keeps all
+    256."""
+    B = GradedTarget(conjugate("m2"))
+    ops, _, fed = solve_work(monkeypatch, B, (1,), 1)
+    ((template, own, rests, outs, spanning),) = operators._leibniz_templates(B, (1,), 1)
+    assert B.generators == (0, 1)
+    assert (len(template), spanning, fed) == (256, 128, 128)
+    assert _shifts(rests, outs) == [(0, 0)]
+    assert all(check_leibniz(P) for P in ops)
 
 
 def test_check_leibniz_builds_the_templates_once_per_target(monkeypatch):
@@ -371,9 +408,12 @@ def test_grade0_finest_space_is_a_tensor_power(name, kind):
         assert len(solve_D(B, (1,) * n, 0)) == ders**n
 
 
-def test_dense_m2_conjugate_order2_grade1():
+def test_dense_m2_conjugate_order2_grade1(monkeypatch):
     """A dense system that reduces through thousands of redundant rows;
-    its dimension is isomorphism-invariant, 84 as on the standard basis."""
-    ops = solve_D(target("m2"), (2,), 1)
+    its dimension is isomorphism-invariant, 84 as on the standard basis.
+    Its work is counted as in `solve_work`."""
+    ops, eliminations, fed = solve_work(monkeypatch, GradedTarget(conjugate("m2")), (2,), 1)
+    assert eliminations <= 20_133
+    assert fed <= 2_552
     assert len(ops) == 84
     assert check_leibniz(ops[0]) and check_leibniz(ops[-1])

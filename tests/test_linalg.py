@@ -716,7 +716,7 @@ def test_leibniz_echelon_matches_reference_fed_every_row(case):
 CORPUS = (
     [(name, "std") for name in sorted(STANDARD_ALGEBRAS)]
     + [(path.stem, "spec") for path in sorted(DATA.glob("*.json"))]
-    + [("dualnum", "conj"), ("k2", "conj")]
+    + [("dualnum", "conj"), ("k2", "conj"), ("m2", "conj")]
 )
 CORES = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]
 
@@ -726,11 +726,15 @@ def st_corpus_systems(draw):
     """A target of the corpus, a shape of at most 3 parts and order at most
     3, and a grade at most 1 where the system has at most 10,000 unknowns
     (the reference takes about 0.5 s there; order 3 at grade 1 on an
-    algebra of dimension 4 has 50,000)."""
-    B = corpus_target(*draw(st.sampled_from(CORPUS)))
-    parts = draw(st.sampled_from(CORES))
+    algebra of dimension 4 has 50,000).  On the dense m2 conjugate the
+    cap is 300 unknowns: the reference takes 0.7 s on its 256 at (1, 1)
+    and 272 at (2,), and 34 s on its 2,112 at (2,) grade 1."""
+    case = draw(st.sampled_from(CORPUS))
+    B = corpus_target(*case)
+    cap = 300 if case == ("m2", "conj") else 10_000
+    parts = draw(st.sampled_from([p for p in CORES if vector_layout(B, p, 0)["total"] <= cap]))
     shape = tuple(draw(st.permutations(parts + (0,) * draw(st.integers(0, 3 - len(parts))))))
-    grade = draw(st.sampled_from([g for g in (0, 1) if vector_layout(B, shape, g)["total"] <= 10_000]))
+    grade = draw(st.sampled_from([g for g in (0, 1) if vector_layout(B, shape, g)["total"] <= cap]))
     return B, shape, grade
 
 
