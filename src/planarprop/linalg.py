@@ -444,6 +444,23 @@ class SparseEchelon:
         rows[lead] = row
         return True
 
+    def add_reduced(self, row: dict[int, int]) -> None:
+        """Store an integer row that is already reduced against the echelon,
+        with no elimination: its lowest column, its lead, carries a
+        positive entry, is no pivot column and lies in no stored row, and
+        it holds no other pivot column.  The row is divided by its content
+        and kept, not copied, so every stored row stays primitive, and
+        `_holders` gets its lead for each of its other columns."""
+        lead = min(row)
+        g = gcd(*row.values())
+        if g != 1:
+            row = {j: v // g for j, v in row.items()}
+        holders = self._holders
+        for j in row:
+            if j != lead:
+                holders[j].add(lead)
+        self.pivot_rows[lead] = row
+
     def contains(self, row: dict[int, Fraction]) -> bool:
         """Whether a sparse row lies in the row space; the row is not
         inserted."""

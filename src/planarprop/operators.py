@@ -29,9 +29,10 @@ from __future__ import annotations
 import itertools
 import reprlib
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .algebras import GradedTarget
 from .linalg import Matrix, Q0, SparseEchelon, _exact, _integral, parse_rationals
@@ -517,18 +518,94 @@ def _slot_coordinate(a: int, g: tuple[int, ...], j: int):
     return lambda o: o // right % S * a + o // tail % a
 
 
+def _finest_rows(a: int, g: tuple[int, ...], order_one: list[SparseEchelon], base: int):
+    """The reduced integer rows of the finest refinement's block at grade
+    vector g, which starts at column `base`, from `order_one`, per slot
+    the echelon of the order-one system at the slot's grade over its own
+    coordinates t = output * a + input.  A tuple p of slot coordinates
+    with some p_i a pivot of its slot's echelon leads the row
+
+        (prod_i den_i) e_p - sum over the tuples F of free coordinates of
+            (prod_i E_i[F_i]) e_F,
+
+    where a free p_i has den_i = 1 and E_i = e_(p_i), and a pivot p_i with
+    integer row R has den_i = R[p_i] and E_i[f] = -R[f] at its free
+    columns f, so that E_i / den_i is p_i's entry in the canonical kernel
+    vectors.  The slots' coordinates are laid out (out_0, ..., out_(d-1),
+    in_0, ..., in_(d-1)), each tuple F above is larger than p, and the
+    rows are produced slot by slot, the coordinates of the last slot
+    fastest."""
+    d = len(g)
+    slots = []
+    for i in range(d):
+        # as in `_slot_coordinate`: nc times the later slots' outputs, and
+        # the weight of slot i's input
+        outw, inw = a ** (d + sum(gj + 1 for gj in g[i + 1 :])), a ** (d - 1 - i)
+
+        def at(t, outw=outw, inw=inw):
+            return t // a * outw + t % a * inw
+
+        rows = order_one[i].pivot_rows
+        entries = []
+        for t in range(a ** (g[i] + 2)):
+            R = rows.get(t)
+            if R is None:
+                entries.append((at(t), 1, ((at(t), 1),), True))
+            else:
+                entries.append((at(t), R[t], tuple((at(f), -v) for f, v in R.items() if f != t), False))
+        slots.append(entries)
+    prefix = [(base, 1, ((base, 1),), True)]
+    for entries in slots[:-1]:
+        prefix = [
+            (x + y, p * q, tuple((u + s, v * w) for u, v in terms for s, w in more), free and free2)
+            for x, p, terms, free in prefix
+            for y, q, more, free2 in entries
+        ]
+    for x, p, terms, free in prefix:
+        for y, q, more, free2 in slots[-1]:
+            if free and free2:
+                continue
+            row = {u + s: -v * w for u, v in terms for s, w in more}
+            row[x + y] = p * q
+            yield row
+
+
 def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEchelon]:
     """The layout of a shape's operators at a total grade and the echelon
-    of their Leibniz system, which only this function eliminates.  The
-    blocks of `_leibniz_blocks` come finest refinement first: a constraint
-    at kappa involves only kappa and its one-step refinements, and the
-    finest refinement's constraints are closed (each slot a derivation),
-    so each coarser row reduces against a complete echelon of the finer
-    blocks, not a partly reduced tail.  A block with more than one copy
-    has its template eliminated once, in an echelon of its own, and only
-    that echelon's reduced rows are replicated: the copies lie on
-    disjoint columns, so they span the same rows as the copies of the
-    template.  A block with a single copy
+    of their Leibniz system.  It is the only elimination of a system of
+    one positive slot; for several, `dim_D` and `solve_D` build the space
+    from the slots' own spaces, and this echelon of the whole system is
+    the reference the tests hold them to.  The blocks of `_leibniz_blocks`
+    come finest refinement first: a constraint at kappa involves only
+    kappa and its one-step refinements, and the finest refinement's
+    constraints are closed (each slot a derivation), so each coarser row
+    reduces against a complete echelon of the finer blocks, not a partly
+    reduced tail.
+
+    The finest refinement's blocks, when it has two or more parts, are
+    not fed: their reduced rows are written into the echelon
+    (`_finest_rows`, `SparseEchelon.add_reduced`).  Slot i of the block
+    (1, ..., 1) at grade vector g carries the order-one system C_i at
+    grade g_i, which is its template at shift (0, 0) read through
+    `_slot_coordinate`, and its rows act as C_i (x) I, so the block's
+    kernel is the tensor product of the kernels K(g_i) = ker C_i.  The
+    block's columns run in the order (out_0, ..., out_(d-1), in_0, ...,
+    in_(d-1)), so the last nonzero index of a product of vectors u_i is
+    the tuple of the last nonzero indices of the u_i.  The canonical
+    kernel vectors k_f of K(h), 1 at their free column f and 0 at every
+    other, have their last nonzero entry at f.  So the block's free
+    columns are the tuples F of free columns, the products k_F of the
+    k_(f_i) are its canonical kernel vectors, and its reduced row with
+    pivot p is e_p - sum_F k_F[p] e_F.  Those blocks' rows close on their
+    own columns and come first, so the echelon after them is that reduced
+    echelon form, however it was built.  Each K(h) is eliminated once per
+    call, from the first finest slot at grade h, fed as a block with one
+    copy is.  Shape (1,) has one block, with one copy, which is fed.
+
+    A block with more than one copy has its template eliminated once, in
+    an echelon of its own, and only that echelon's reduced rows are
+    replicated: the copies lie on disjoint columns, so they span the same
+    rows as the copies of the template.  A block with a single copy
     (kappa of one part, so every block of a single-slot shape's coarsest
     refinement and all of shape (1,)) is fed directly, since eliminating
     its template first would eliminate it twice.  A shape with no
@@ -572,8 +649,19 @@ def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEc
     core = _positive(tuple(shape))
     a = B.A.dim
     ech = SparseEchelon(layout["total"])
+    order_one: dict[int, SparseEchelon] = {}  # grade h -> echelon of the order-one system
     blocks = zip(_iter_constraints(core, grade), _leibniz_templates(B, core, grade))
-    for (_, i, g), (template, own, rests, outs, spanning) in blocks:
+    for (kappa, i, g), (template, own, rests, outs, spanning) in blocks:
+        if len(kappa) == sum(core) > 1:  # the finest refinement, of two or more parts
+            if g[i] not in order_one:
+                at = _slot_coordinate(a, g, i)
+                order_one[g[i]] = SparseEchelon(a ** (g[i] + 2))
+                for row in sorted(template[:spanning], key=min, reverse=True):
+                    order_one[g[i]].add_row({at(j - own.start): v for j, v in row.items()})
+            if i == len(kappa) - 1:
+                for row in _finest_rows(a, g, [order_one[h] for h in g], own.start):
+                    ech.add_reduced(row)
+            continue
         shifts = _shifts(rests, outs)
         if len(shifts) > 1:
             reduced = SparseEchelon(layout["total"])
@@ -592,38 +680,131 @@ def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEc
     return layout, ech
 
 
+def _kernel(B: GradedTarget, shape, grade: int) -> tuple[dict, Iterator[tuple[int, list[tuple[int, int]]]]]:
+    """The layout of a shape's operators at a total grade and the
+    canonical basis of the kernel of their Leibniz system: one vector per
+    free column F of the system's RREF, 1 at F and 0 at every other free
+    column, in increasing F, each as a denominator and its (index,
+    numerator) pairs in increasing index, read one at a time.
+
+    With at most one positive slot it is the nullspace of
+    `_leibniz_echelon`.  Otherwise it is built from the slots' own
+    kernels.  A block (kappa, g) of a shape with positive slots lambda_1,
+    ..., lambda_k is the Kronecker product of one block of each D_(lambda_i)
+    at grade g_i, as `h_compose` forms it, and slot i's rows act as
+    C_i (x) I on it, so the kernel is the sum over grade splits of the
+    tensor products of the slots' kernels: the intersection of the kernels
+    of the C_i (x) I is the tensor product of the kernels of the C_i.  The
+    basis above is the reduced echelon form of the kernel with its columns
+    reversed (its vector for F has its last nonzero entry at F), so any
+    basis reduces to it, the products of the slots' bases included: they
+    are reduced, as integer rows over reversed columns, in one
+    `SparseEchelon`, and each row is read back scaled to 1 at its lead."""
+    core = _positive(tuple(shape))
+    if len(core) < 2:
+        layout, ech = _leibniz_echelon(B, shape, grade)
+        return layout, map(_integer_vector, ech.nullspace())
+    layout = vector_layout(B, core, grade)
+    last, blocks = layout["total"] - 1, layout["blocks"]
+    splits = _gradevecs(len(core), grade)
+    slots = {}  # (order, grade) -> the slot's kernel vectors, split by block
+    for n, h in sorted({x for split in splits for x in zip(core, split)}):
+        slot_layout, vecs = _kernel(B, (n,), h)
+        by_block = _by_block(slot_layout)
+        slots[n, h] = [by_block(items) for _, items in vecs]
+    ech = SparseEchelon(layout["total"])
+    for split in splits:
+        for vecs in itertools.product(*(slots[x] for x in zip(core, split))):
+            parts = [((), (), 1, 1, [(0, 0, 1)])]
+            for vec in vecs:
+                parts = [
+                    (k1 + k2, g1 + g2, nr1 * nr2, nc1 * nc2,
+                     [(r1 * nr2 + r2, c1 * nc2 + c2, v1 * v2) for r1, c1, v1 in e1 for r2, c2, v2 in e2])
+                    for k1, g1, nr1, nc1, e1 in parts
+                    for (k2, g2), nr2, nc2, e2 in vec
+                ]
+            row = {}
+            for kappa, g, _, nc, entries in parts:
+                top = last - blocks[kappa, g][0]
+                for r, c, v in entries:
+                    row[top - r * nc - c] = v
+            ech.add_row(row)
+    rows = ech.pivot_rows
+
+    def vectors():  # each row is dropped once it is read
+        for lead in sorted(rows, reverse=True):
+            row = rows.pop(lead)
+            yield row[lead], [(last - j, row[j]) for j in sorted(row, reverse=True)]
+
+    return layout, vectors()
+
+
+def _integer_vector(vec: dict[int, Fraction]) -> tuple[int, list[tuple[int, int]]]:
+    """A sparse rational vector as a denominator and its (index,
+    numerator) pairs, in the vector's order."""
+    den = lcm(*[v.denominator for v in vec.values()])
+    return den, [(idx, v.numerator * (den // v.denominator)) for idx, v in vec.items()]
+
+
+def _by_block(layout):
+    """A reader of kernel vectors of a layout, (index, numerator) pairs in
+    increasing index: it returns their entries per block, ((kappa, g),
+    nr, nc, [(row, column, numerator)]), blocks in layout order and each
+    row's columns in increasing order.  An entry lands in the block whose
+    offset is the last one at or below its index."""
+    blocks = list(layout["blocks"].items())
+    offsets = [off for _, (off, _, _) in blocks]
+
+    def by_block(items):
+        out, end = [], 0
+        for idx, v in items:
+            if idx >= end:
+                key, (off, nr, nc) = blocks[bisect_right(offsets, idx) - 1]
+                end = off + nr * nc
+                entries = []
+                out.append((key, nr, nc, entries))
+            entries.append((*divmod(idx - off, nc), v))
+        return out
+
+    return by_block
+
+
 def dim_D(B: GradedTarget, shape: tuple[int, ...], grade: int = 0) -> int:
     """Dimension of the space of operators of the given shape and total
-    grade: unknowns minus the rank of the Leibniz system, no basis built."""
-    layout, ech = _leibniz_echelon(B, shape, grade)
-    return layout["total"] - ech.rank
+    grade, no basis built.  With at most one positive slot it is the
+    unknowns minus the rank of the Leibniz system; with positive slots
+    lambda_1, ..., lambda_k it is the sum over grade splits g_1 + ... +
+    g_k = g of the products of dim D_(lambda_i)(g_i), since the kernel is
+    the sum of the tensor products of the slots' kernels (see `_kernel`)."""
+    core = _positive(tuple(shape))
+    if len(core) < 2:
+        layout, ech = _leibniz_echelon(B, shape, grade)
+        return layout["total"] - ech.rank
+    splits = _gradevecs(len(core), grade)
+    dims = {x: dim_D(B, (x[0],), x[1]) for x in {x for split in splits for x in zip(core, split)}}
+    return sum(prod(dims[x] for x in zip(core, split)) for split in splits)
 
 
 def solve_D(B: GradedTarget, shape: tuple[int, ...], grade: int = 0) -> list[DiffOperator]:
     """Deterministic basis of the space of operators of the given shape
-    and total grade: the exact nullspace of the Leibniz system over all
-    refinements and slots, unpacked into operators.  Refinements are
+    and total grade, unpacked from `_kernel`: one operator per free column
+    F of the RREF of the Leibniz system over all refinements and slots,
+    1 at F and 0 at every other free column, in increasing F.  That basis
+    is the reduced echelon form of the kernel with its columns reversed,
+    so it does not depend on the route: a shape of one positive slot reads
+    it off the nullspace of `_leibniz_echelon`, and a shape of several
+    reduces the products of its slots' bases to it.  Refinements are
     ordered by (size, parts), grade vectors lexicographically, matrix
     entries row-major.  A shape with no positive slot gives its unit
     operator (`one_operator` for shape ()) at grade 0, nothing above."""
     shape = tuple(shape)
-    layout, ech = _leibniz_echelon(B, shape, grade)
-    # each kernel entry lands in the block whose offset is the last one
-    # at or below its index; a vector's entries come in increasing index
-    # order, so each row of a block gets its columns in increasing order
-    blocks = list(layout["blocks"].items())
-    offsets = [off for _, (off, _, _) in blocks]
+    layout, kernel = _kernel(B, shape, grade)
+    by_block = _by_block(layout)
     basis = []
-    for vec in ech.nullspace():
-        entries: dict = {}
-        for idx, v in vec.items():
-            entries.setdefault(bisect_right(offsets, idx) - 1, []).append((idx, v))
+    for den, items in kernel:
         comps: dict = {}
-        for b, items in entries.items():
-            (kappa, g), (off, nr, nc) = blocks[b]
-            den = lcm(*[v.denominator for _, v in items])
-            ints = ((*divmod(idx - off, nc), v.numerator * (den // v.denominator)) for idx, v in items)
-            comps.setdefault(kappa, {})[g] = Matrix.from_entries(nr, nc, den, ints)
+        for (kappa, g), nr, nc, entries in by_block(items):
+            comps.setdefault(kappa, {})[g] = Matrix.from_entries(nr, nc, den, entries)
         basis.append(DiffOperator(B, shape, grade, comps))
     return basis
 

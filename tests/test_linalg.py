@@ -1,5 +1,6 @@
 """Exact rational matrices: elimination, spans, Kronecker products."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from planarprop.algebras import STANDARD_ALGEBRAS
 from planarprop.linalg import Q0, Q1, Matrix, SparseEchelon, _eliminate, _integral, in_span, span_rank
-from planarprop.operators import _leibniz_echelon, vector_layout
+from planarprop.operators import (
+    _copies,
+    _iter_constraints,
+    _leibniz_blocks,
+    _leibniz_echelon,
+    _shifts,
+    op_vector,
+    solve_D,
+    vector_layout,
+)
 from test_leibniz import DATA, corpus_target, leibniz_rows, target
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -722,17 +732,18 @@ CORES = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]
 
 
 @st.composite
-def st_corpus_systems(draw):
+def st_corpus_systems(draw, cores=CORES):
     """A target of the corpus, a shape of at most 3 parts and order at most
     3, and a grade at most 1 where the system has at most 10,000 unknowns
     (the reference takes about 0.5 s there; order 3 at grade 1 on an
     algebra of dimension 4 has 50,000).  On the dense m2 conjugate the
     cap is 300 unknowns: the reference takes 0.7 s on its 256 at (1, 1)
-    and 272 at (2,), and 34 s on its 2,112 at (2,) grade 1."""
+    and 272 at (2,), and 34 s on its 2,112 at (2,) grade 1.  The shape's
+    positive parts are drawn from `cores`."""
     case = draw(st.sampled_from(CORPUS))
     B = corpus_target(*case)
     cap = 300 if case == ("m2", "conj") else 10_000
-    parts = draw(st.sampled_from([p for p in CORES if vector_layout(B, p, 0)["total"] <= cap]))
+    parts = draw(st.sampled_from([p for p in cores if vector_layout(B, p, 0)["total"] <= cap]))
     shape = tuple(draw(st.permutations(parts + (0,) * draw(st.integers(0, 3 - len(parts))))))
     grade = draw(st.sampled_from([g for g in (0, 1) if vector_layout(B, shape, g)["total"] <= cap]))
     return B, shape, grade
@@ -742,6 +753,59 @@ def st_corpus_systems(draw):
 @given(st_corpus_systems())
 def test_leibniz_echelon_matches_reference_over_the_corpus(case):
     assert_echelon_matches_reference(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st_corpus_systems([p for p in CORES if len(p) > 1]))
+def test_multi_slot_basis_is_the_whole_system_nullspace(case):
+    """`solve_D` builds a shape of several positive slots from its slots'
+    bases; its operators are the canonical nullspace of the whole system,
+    which `_leibniz_echelon` still eliminates, in the same order."""
+    B, shape, grade = case
+    layout, ech = _leibniz_echelon(B, shape, grade)
+    assert [op_vector(P, layout) for P in solve_D(B, shape, grade)] == ech.nullspace()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st_corpus_systems([p for p in CORES if sum(p) > 1]))
+def test_seeded_finest_blocks_match_every_row_fed(case):
+    """`_leibniz_echelon` writes the finest refinement's reduced rows into
+    its echelon before it feeds any row.  Those rows, stored on their own,
+    hold the same pivot rows as an echelon fed every copy of every row of
+    the finest blocks.  `_holders` keeps, per column, at least the leads of
+    the stored rows that hold it: exactly those when the rows are written,
+    and possibly leads of rows that lost the column when they are fed."""
+    B, shape, grade = case
+    core = tuple(x for x in shape if x)
+    total = vector_layout(B, shape, grade)["total"]
+    written = []
+    add_reduced = SparseEchelon.add_reduced
+
+    def recording(self, row):
+        written.append(dict(row))  # the echelon may reduce the row it keeps later
+        add_reduced(self, row)
+
+    SparseEchelon.add_reduced = recording
+    try:
+        _leibniz_echelon(B, shape, grade)
+    finally:
+        SparseEchelon.add_reduced = add_reduced
+    seeded, fed = SparseEchelon(total), SparseEchelon(total)
+    for row in written:
+        seeded.add_reduced(row)
+    blocks = zip(_iter_constraints(core, grade), _leibniz_blocks(B, core, grade))
+    for (kappa, _, _), (template, own, rests, outs, _) in blocks:
+        if len(kappa) == sum(core):
+            for row in _copies(template, own, _shifts(rests, outs)):
+                fed.add_row(row)
+    assert seeded.pivot_rows == fed.pivot_rows
+    assert_reduced(seeded)
+    holding = collections.defaultdict(set)
+    for lead, row in fed.pivot_rows.items():
+        for j in row.keys() - {lead}:
+            holding[j].add(lead)
+    assert seeded._holders == holding
+    assert all(leads <= fed._holders[j] for j, leads in holding.items())
 
 
 @given(st_rows_with_repeats(), st.data())
