@@ -361,7 +361,17 @@ def _iter_constraints(core: tuple[int, ...], grade: int):
 def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
     """The Leibniz system of a shape core at a fixed total grade, one
     constraint block (kappa, i, g) at a time, in the order of
-    `_iter_constraints`: tuples (template, own, rests, outs, spanning).
+    `_iter_constraints`, each built by `_leibniz_block_builder` over the
+    layout of the core and grade."""
+    build = _leibniz_block_builder(B, vector_layout(B, core, grade)["blocks"])
+    for kappa, i, g in _iter_constraints(core, grade):
+        yield build(kappa, i, g)
+
+
+def _leibniz_block_builder(B: GradedTarget, blocks: dict):
+    """A builder of single constraint blocks over a layout's `blocks`:
+    build(kappa, i, g) returns the tuple (template, own, rests, outs,
+    spanning) of slot i at the block (kappa, g).
 
     For block (kappa, g), slot i, inputs `rest` in the other slots, `pre`
     and `post` output coordinates of the slots before and after slot i,
@@ -395,7 +405,6 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
     A = B.A
     a = A.dim
     c = [[[_exact(x) for x in row] for row in plane] for plane in A.mult]
-    blocks = vector_layout(B, core, grade)["blocks"]
     # products of basis pairs, and for each factor coordinate x the terms
     # (j, coeff) of e_r e_j and of e_j e_r at x
     prod = [[[(k, c[r][s][k]) for k in range(a) if c[r][s][k]] for s in range(a)] for r in range(a)]
@@ -406,7 +415,7 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
     gens = B.generators
     firsts = gens + tuple(r for r in range(a) if r not in gens)
 
-    for kappa, i, g in _iter_constraints(core, grade):
+    def build(kappa, i, g):
         d = len(kappa)
         base, nr, nc = blocks[(kappa, g)]
         n_i = g[i] + 1
@@ -469,7 +478,9 @@ def _leibniz_blocks(B: GradedTarget, core: tuple[int, ...], grade: int):
                 low = low * a + t
             rests.append((head * a * tail + low, head * a * a * tail + low))
         outs = [((pre * S * Q + post) * nc, (pre * S2 * Q + post) * nc2) for pre in range(P) for post in range(Q)]
-        yield template, range(base, base + nr * nc), rests, outs, spanning
+        return template, range(base, base + nr * nc), rests, outs, spanning
+
+    return build
 
 
 def _shifts(rests, outs) -> list[tuple[int, int]]:
@@ -769,14 +780,141 @@ def _by_block(layout):
     return by_block
 
 
+def _kron_index(blocks: dict, parts) -> int:
+    """The index, in a layout's `blocks`, of the Kronecker product of
+    block entries `parts`, each ((kappa, g), nr, nc, row, column), as
+    `h_compose` places it: the refinements and grade vectors concatenate,
+    the rows and the columns combine first part slowest."""
+    kappa, g, r, c = (), (), 0, 0
+    for (k, gv), nr, nc, rr, cc in parts:
+        kappa, g, r, c = kappa + k, g + gv, r * nr + rr, c * nc + cc
+    off, _, nc = blocks[kappa, g]
+    return off + r * nc + c
+
+
+def _fiber_dim(B: GradedTarget, n: int, grade: int) -> int:
+    """dim D_(n)(grade) for n >= 2, from the top block's rows and the
+    agreement of the two-part spaces; `dim_D` gives the argument."""
+    a = B.A.dim
+    # per (m, h), m < n: the layout's blocks, each kernel vector's lead as
+    # a block entry with its denominator, and per wanted index the
+    # (vector, numerator) pairs of the vectors nonzero there: the top
+    # block, and the tuples of leads of the spaces of each cut
+    blocks, leads, values = {}, {}, {}
+    for m in range(1, n):
+        for h in range(grade + 1):
+            layout, vecs = _kernel(B, (m,), h)
+            blocks[m, h] = layout["blocks"]
+            top = blocks[m, h][(m,), (h,)][0]
+            wanted = set(range(top, top + a ** (h + 2)))
+            for p in range(1, m):
+                for h1 in range(h + 1):
+                    pairs = itertools.product(leads[p, h1], leads[m - p, h - h1])
+                    wanted.update(_kron_index(blocks[m, h], (L1, L2)) for (L1, _), (L2, _) in pairs)
+            by_block = _by_block(layout)
+            leads[m, h], values[m, h] = [], {}
+            for k, (den, items) in enumerate(vecs):
+                [(key, nr, nc, [(r, c, _)])] = by_block(items[-1:])
+                leads[m, h].append(((key, nr, nc, r, c), den))
+                vec = dict(items)
+                for idx in wanted.intersection(vec):
+                    values[m, h].setdefault(idx, []).append((k, vec[idx]))
+
+    def at(m, h, parts):
+        return values[m, h].get(_kron_index(blocks[m, h], parts), ())
+
+    # the unknowns: the top block, then per cut x and grade h1 of its first
+    # part the coefficients of the products of D_(x)(h1) and D_(n-x)(g-h1)
+    alpha, total = {}, a ** (grade + 2)
+    for x in range(1, n):
+        for h1 in range(grade + 1):
+            alpha[x, h1] = total
+            total += len(leads[x, h1]) * len(leads[n - x, grade - h1])
+    ech = SparseEchelon(total)
+    # agreement of the cuts x < y at each tuple of leads of D_(x)(g1),
+    # D_(y-x)(g2) and D_(n-y)(g3): Q_x reads it at the pair (f2, f3) of
+    # D_(n-x), Q_y at the pair (f1, f2) of D_(y)
+    for x in range(1, n):
+        for y in range(x + 1, n):
+            for g1, g2, g3 in _gradevecs(3, grade):
+                leads1, leads2, leads3 = leads[x, g1], leads[y - x, g2], leads[n - y, g3]
+                width = len(leads[n - x, g2 + g3])
+                for L2, _ in leads2:
+                    terms_x = [at(n - x, g2 + g3, (L2, L3)) for L3, _ in leads3]
+                    terms_y = [at(y, g1 + g2, (L1, L2)) for L1, _ in leads1]
+                    for i1, (_, d1) in enumerate(leads1):
+                        for i3, (_, d3) in enumerate(leads3):
+                            row = {alpha[x, g1] + i1 * width + k: d1 * v for k, v in terms_x[i3]}
+                            row.update((alpha[y, g1 + g2] + k * len(leads3) + i3, -v * d3) for k, v in terms_y[i1])
+                            ech.add_row(row)
+    # the top block's own rows, each term in a two-part block written
+    # through the products of top blocks that fill it
+    layout = vector_layout(B, (n,), grade)
+    by_block = _by_block(layout)
+    template, block, *_ = _leibniz_block_builder(B, layout["blocks"])((n,), 0, (grade,))
+    for eq in template:
+        row: dict = {}
+        for j, v in eq.items():
+            if j in block:
+                row[j - block.start] = v
+                continue
+            [(((x, _), (h1, h2)), _, _, [(r, c, _)])] = by_block([(j, v)])
+            (r1, r2), (c1, c2) = divmod(r, a ** (h2 + 1)), divmod(c, a)
+            terms1 = at(x, h1, [(((x,), (h1,)), a ** (h1 + 1), a, r1, c1)])
+            terms2 = at(n - x, h2, [(((n - x,), (h2,)), a ** (h2 + 1), a, r2, c2)])
+            for k1, v1 in terms1:
+                for k2, v2 in terms2:
+                    idx = alpha[x, h1] + k1 * len(leads[n - x, h2]) + k2
+                    row[idx] = row.get(idx, 0) + v * v1 * v2
+        ech.add_row(row)
+    return total - ech.rank
+
+
 def dim_D(B: GradedTarget, shape: tuple[int, ...], grade: int = 0) -> int:
     """Dimension of the space of operators of the given shape and total
-    grade, no basis built.  With at most one positive slot it is the
-    unknowns minus the rank of the Leibniz system; with positive slots
-    lambda_1, ..., lambda_k it is the sum over grade splits g_1 + ... +
-    g_k = g of the products of dim D_(lambda_i)(g_i), since the kernel is
-    the sum of the tensor products of the slots' kernels (see `_kernel`)."""
+    grade, no basis built.  With positive slots lambda_1, ..., lambda_k,
+    k >= 2, it is the sum over grade splits g_1 + ... + g_k = g of the
+    products of dim D_(lambda_i)(g_i), since the kernel is the sum of the
+    tensor products of the slots' kernels (see `_kernel`).  With no
+    positive slot, or one of order 1, it is the unknowns minus the rank of
+    the Leibniz system.
+
+    A single slot of order n >= 2 is counted as a fiber product of its
+    two-part spaces, and only a small system is eliminated.
+    - Cuts.  A block kappa other than the top block (n) has a cut at
+      kappa_1.  A slot-i row at kappa touches only kappa and the blocks
+      that split its part i, and those keep every cut of kappa.  So every
+      row outside the top block is a row of the two-slot system (x, n-x)
+      for a cut x of its block, on the columns R_x of the blocks cut at x,
+      in `h_compose`'s Kronecker coordinates.
+    - Two-part spaces.  D_(x,n-x)(g) is the sum over g1 + g2 = g of
+      D_(x)(g1) (x) D_(n-x)(g2) (see `_kernel`), so P restricted to R_x
+      is Q_x = sum of alpha (u1 (x) u2) over pairs of canonical basis
+      vectors of those spaces, from `_kernel`, taken as integer vectors
+      (denominator times the canonical vector).
+    - Agreement.  On the blocks cut at both x and y (x < y), Q_x and Q_y
+      both lie in the sum of the D_(x)(g1) (x) D_(y-x)(g2) (x) D_(n-y)(g3),
+      by the same two facts one level down.  A canonical vector holds its
+      denominator at its own lead, its last nonzero index, and 0 at every
+      other lead, so restricting a tensor product of such bases to the
+      tuples of leads is injective.  Agreeing there means agreeing on all
+      of those blocks, and the pairs x < y cover every block with two cuts
+      or more.
+    - Top rows.  The top block's rows (`_leibniz_block_builder`) read the
+      two-part blocks ((x, n-x), (h1, h2)); the entry at (r, c) there is
+      the sum of u1[r1, c1] u2[r2, c2] alpha over the top blocks of
+      D_(x)(h1) and D_(n-x)(h2), with r = r1 a^(h2+1) + r2, c = c1 a + c2.
+    - Count.  The unknowns are the top block and the alphas.  Given a
+      solution of the agreement and top rows, the operator that is the
+      top block there and Q_x on each block with a cut x satisfies every
+      row, and every P in D_(n)(g) arises once, since the map from (top
+      block, alpha) to P is injective.  So the dimension is the number of
+      unknowns minus the rank of those rows.  They are built from the
+      kernel vectors' integer numerators, times the template's entries in
+      the top rows."""
     core = _positive(tuple(shape))
+    if len(core) == 1 and core[0] > 1:
+        return _fiber_dim(B, core[0], grade)
     if len(core) < 2:
         layout, ech = _leibniz_echelon(B, shape, grade)
         return layout["total"] - ech.rank

@@ -105,6 +105,13 @@ def corpus_target(name: str, kind: str) -> GradedTarget:
     return GradedTarget(STANDARD_ALGEBRAS[name]())
 
 
+CORPUS = (
+    [(name, "std") for name in sorted(STANDARD_ALGEBRAS)]
+    + [(path.stem, "spec") for path in sorted(DATA.glob("*.json"))]
+    + [("dualnum", "conj"), ("k2", "conj"), ("m2", "conj")]
+)
+
+
 @functools.lru_cache(maxsize=None)
 def basis(name: str, shape: tuple, grade: int):
     return solve_D(target(name), shape, grade)

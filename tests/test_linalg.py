@@ -9,7 +9,6 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from planarprop.algebras import STANDARD_ALGEBRAS
 from planarprop.linalg import Q0, Q1, Matrix, SparseEchelon, _eliminate, _integral, in_span, span_rank
 from planarprop.operators import (
     _copies,
@@ -21,7 +20,7 @@ from planarprop.operators import (
     solve_D,
     vector_layout,
 )
-from test_leibniz import DATA, corpus_target, leibniz_rows, target
+from test_leibniz import CORPUS, corpus_target, leibniz_rows, target
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -723,11 +722,6 @@ def test_leibniz_echelon_matches_reference_fed_every_row(case):
     assert_echelon_matches_reference(corpus_target(name, kind), shape, grade)
 
 
-CORPUS = (
-    [(name, "std") for name in sorted(STANDARD_ALGEBRAS)]
-    + [(path.stem, "spec") for path in sorted(DATA.glob("*.json"))]
-    + [("dualnum", "conj"), ("k2", "conj"), ("m2", "conj")]
-)
 CORES = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]
 
 

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planarprop.algebras import GradedTarget, dual_numbers, kxk, load_algebra, m2
 from planarprop.linalg import Matrix
@@ -37,6 +38,7 @@ from planarprop.operators import (
 )
 from planarprop.ordinals import MonotoneMap, all_epis, compose
 from planarprop.partitions import compositions
+from test_leibniz import CORPUS, corpus_target
 
 
 def derivation_dim_oracle(A) -> int:
@@ -444,11 +446,50 @@ def test_dimension_is_the_sum_of_slotwise_products(case):
 
 @pytest.mark.parametrize("case", [("m2", 4, 192), ("dualnum", 8, 128)], ids=str)
 def test_whole_system_dimension_at_a_scale_row(targets, case):
-    """dim D_(n) from the whole Leibniz system at two rows the fiber-product
-    prototype also reached: m2 (4,) on 78,608 unknowns and dualnum (8,)
-    on 312,500."""
+    """dim D_(n) from the whole Leibniz system at two rows `dim_D` also
+    reaches as a fiber product: m2 (4,) on 78,608 unknowns and dualnum
+    (8,) on 312,500."""
     name, n, expected = case
-    assert dim_D(targets[name], (n,), 0) == expected
+    layout, ech = _leibniz_echelon(targets[name], (n,), 0)
+    assert layout["total"] - ech.rank == expected
+
+
+@pytest.mark.parametrize("case", [("m2", 5, 0, 768), ("dualnum", 9, 0, 256), ("m2", 4, 1, 2496)], ids=str)
+def test_fiber_product_dimension_at_a_scale_row(targets, case):
+    """dim D_(n)(g) through the fiber product of the two-part spaces at
+    rows whose whole system has 1,336,336 (m2 (5,)), 1,562,500 (dualnum
+    (9,)) and 1,202,240 (m2 (4,) grade 1) unknowns; the composition count
+    F gives each too."""
+    name, n, g, expected = case
+    B = targets[name]
+    assert dim_D(B, (n,), g) == expected
+    assert composition_count([dim_D(B, (1,), h) for h in range(g + 1)], n, g) == expected
+
+
+@st.composite
+def st_single_slot_systems(draw):
+    """A target of the corpus, an order 2 to 4 and a grade 0 to 2 where the
+    whole system has at most 60,000 unknowns.  On the dense m2 conjugate
+    the cap is 5,000: the whole system and `solve_D` take about 3 s on its
+    12,544 at (2,) grade 2."""
+    case = draw(st.sampled_from(CORPUS))
+    B = corpus_target(*case)
+    cap = 5_000 if case == ("m2", "conj") else 60_000
+    n, grade = draw(st.sampled_from([
+        (n, g) for n in (2, 3, 4) for g in (0, 1, 2) if vector_layout(B, (n,), g)["total"] <= cap
+    ]))
+    return B, n, grade
+
+
+@settings(max_examples=30, deadline=None)
+@given(st_single_slot_systems())
+def test_single_slot_dimension_is_the_whole_system_count(case):
+    """`dim_D` of a single slot of order n >= 2 counts the fiber product of
+    its two-part spaces; it equals the unknowns of the whole system beyond
+    its rank and the length of the basis `solve_D` reads off its nullspace."""
+    B, n, grade = case
+    layout, ech = _leibniz_echelon(B, (n,), grade)
+    assert dim_D(B, (n,), grade) == layout["total"] - ech.rank == len(solve_D(B, (n,), grade))
 
 
 def composition_count(d, n: int, g: int) -> int:
