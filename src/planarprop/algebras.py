@@ -51,12 +51,8 @@ class FinAlgebra:
     def mult_matrix(self) -> Matrix:
         """The multiplication as a matrix A x A -> A (columns indexed by
         i * dim + j)."""
-        m = Matrix.zeros(self.dim, self.dim * self.dim)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    m.rows[k][i * self.dim + j] = self.mult[i][j][k]
-        return m
+        every = range(self.dim)
+        return Matrix([[self.mult[i][j][k] for i in every for j in every] for k in every])
 
     def left_mult(self, x) -> Matrix:
         m = Matrix.zeros(self.dim, self.dim)
@@ -426,9 +422,10 @@ def is_formally_smooth_witness(A: FinAlgebra) -> dict:
     # junction map of A^{(x)4} at legs 1-2 and then at the legs of y and v,
     # read at the column ((u a + x) a + y) a + v; act[r] lists the
     # (u, x a + y, v, c) of the nonzero constants c of output coordinate r
+    den, act_cols, act_nums = (B.mB_matrix(1, 0) @ B.mB_matrix(0, 2)).form()
     act = [
-        [(col // a**3, col // a % (a * a), col % a, c) for col, c in enumerate(row) if c]
-        for row in (B.mB_matrix(1, 0) @ B.mB_matrix(0, 2)).rows
+        [(col // a**3, col // a % (a * a), col % a, Fraction(n, den)) for col, n in zip(cs, ns)]
+        for cs, ns in zip(act_cols, act_nums)
     ]
 
     # d(e_j) = 1 x e_j - e_j x 1 in A x A
@@ -449,8 +446,7 @@ def is_formally_smooth_witness(A: FinAlgebra) -> dict:
         for j in range(a):
             for u, xy, v, c in terms:
                 pi[r][(j * a + u) * a + v] += c * d_gen[j][xy]
-    pi = Matrix(pi)
-    relations = pi.nullspace()
+    relations = Matrix(pi).nullspace()
 
     # unknown splitting: s_j in (A^e)^a, so a * cols unknowns, s_j's
     # coordinates at j * cols plus the columns of pi; equations:
@@ -463,7 +459,7 @@ def is_formally_smooth_witness(A: FinAlgebra) -> dict:
     # (P): for each j, each coordinate r of A x A
     for j in range(a):
         for r in range(a * a):
-            row = {j * cols + col: c for col, c in enumerate(pi.rows[r]) if c}
+            row = {j * cols + col: c for col, c in enumerate(pi[r]) if c}
             if d_gen[j][r]:
                 row[N] = -d_gen[j][r]
             ech.add_row(row)
@@ -497,7 +493,7 @@ def is_formally_smooth_witness(A: FinAlgebra) -> dict:
         # verify: pi(s_j) = d(e_j)
         for j in range(a):
             s_j = sol[j * cols:(j + 1) * cols]
-            if [sum(x * y for x, y in zip(row, s_j)) for row in pi.rows] != d_gen[j]:
+            if [sum(x * y for x, y in zip(row, s_j)) for row in pi] != d_gen[j]:
                 raise AlgebraError("splitting verification failed")
         report["witness"] = sol
     return report

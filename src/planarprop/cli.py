@@ -268,8 +268,7 @@ def _invariants(A: FinAlgebra, rng):
             ok_c = False
     yield "compatibility_relation", ok_c, None
 
-    swap = Matrix.zeros(4, 4)
-    swap.rows[0][0] = swap.rows[1][2] = swap.rows[2][1] = swap.rows[3][3] = Fraction(1)
+    swap = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     yield "braid_swap", braid_check(swap, 2), None
 
     P = EndProp(2)

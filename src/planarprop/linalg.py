@@ -20,11 +20,13 @@ them; a caller keeps no `.rows` list across an operation and writes to
 it afterwards.  `_int_rows` is that one conversion from dense rows.
 
 The sparse `SparseEchelon` keeps its rows integral, primitive and fully
-reduced as they arrive; `Fraction`s appear only in the reduced echelon
-form it emits, and `Matrix.rref`, `rank`, `nullspace` and `solve` all
-eliminate through it, fed the integer rows.  The nullspace basis
-convention is fixed once and for all: reduced row echelon form with
-pivots chosen left to right, one basis vector per free column, free
+reduced as they arrive, and hands its kernel out as integer vectors (a
+least common denominator and the numerators over it); `Matrix.rref`,
+`rank`, `nullspace` and `solve` all eliminate through it, fed the
+integer rows.  Of the eliminations, only `SparseEchelon.rref`,
+`Matrix.solve` and `Matrix.nullspace` build `Fraction`s.  The nullspace
+basis convention is fixed once and for all: reduced row echelon form
+with pivots chosen left to right, one basis vector per free column, free
 columns taken in increasing index order.  Every caller that freezes
 expected values relies on this being deterministic.  `parse_rationals`
 and `format_rationals` are the one reader and the one writer of
@@ -208,15 +210,12 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
-        cols = [list(c) for c in cols]
+        """The matrix of these columns, each padded with zeros to nrows."""
         if nrows is None:
             nrows = len(cols[0]) if cols else 0
-        m = cls.zeros(nrows, len(cols))
-        rows = m.rows
-        for j, c in enumerate(cols):
-            for i, x in enumerate(c):
-                rows[i][j] = _frac(x)
-        return m
+        den, ccols, cnums = _int_rows(cols)  # the form of the transpose
+        entries = sorted((i, j, v) for j, (c, n) in enumerate(zip(ccols, cnums)) for i, v in zip(c, n))
+        return cls.from_entries(nrows, len(cols), den, entries)
 
     # -- basic access -------------------------------------------------
 
@@ -362,13 +361,13 @@ class Matrix:
         return ech
 
     def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
-        red = self._echelon().rref()
-        m = Matrix.zeros(self.nrows, self.ncols)
-        for row, prow in zip(m.rows, red.values()):
-            for j, v in prow.items():
-                row[j] = v
-        return m, list(red)
+        """Reduced row echelon form and the list of pivot columns: row i is
+        the echelon's integer row of the i-th lead p, over its entry at p."""
+        rows = self._echelon().pivot_rows
+        leads = sorted(rows)
+        den = lcm(*[rows[p][p] for p in leads])
+        entries = ((i, j, rows[p][j] * (den // rows[p][p])) for i, p in enumerate(leads) for j in sorted(rows[p]))
+        return Matrix.from_entries(self.nrows, self.ncols, den, entries), leads
 
     def rank(self) -> int:
         return self._echelon().rank
@@ -376,8 +375,13 @@ class Matrix:
     def nullspace(self) -> list[list[Fraction]]:
         """Deterministic kernel basis: one vector per free column, free
         columns in increasing order.  rank + len(result) == ncols."""
-        kernel = self._echelon().nullspace()
-        return [[v.get(j, Q0) for j in range(self.ncols)] for v in kernel]
+        out = []
+        for den, items in self._echelon().nullspace():
+            v = [Q0] * self.ncols
+            for j, n in items:
+                v[j] = Fraction(n, den)
+            out.append(v)
+        return out
 
     def solve(self, rhs: Sequence) -> list[Fraction] | None:
         """One exact solution of self @ x = rhs, or None if inconsistent;
@@ -410,8 +414,8 @@ class SparseEchelon:
     Every stored row is a primitive integer row (content 1, positive lead
     at its lowest column) keyed by its lead.  `rref()` scales them to lead
     1, the only place `Fraction`s are built, and `nullspace()` returns, as
-    sparse vectors, the same basis as dense RREF of the stacked rows would
-    (the reduced echelon form of a row space is unique).
+    sparse integer vectors, the same basis as dense RREF of the stacked
+    rows would (the reduced echelon form of a row space is unique).
     """
 
     def __init__(self, ncols: int):
@@ -489,24 +493,28 @@ class SparseEchelon:
             out[lead] = {j: Fraction(v, p) for j, v in row.items()}
         return out
 
-    def nullspace(self) -> list[dict[int, Fraction]]:
-        """One sparse kernel vector (index -> nonzero entry, in increasing
-        index order) per free column, free columns in increasing order:
-        the free column j carries 1, and each pivot column pc the negated
-        entry at j of its RREF row, -row[j]/row[pc], read off the integer
-        pivot row.  The echelon is fully reduced, so every other entry of
-        a pivot row sits at a free column."""
+    def nullspace(self) -> list[tuple[int, list[tuple[int, int]]]]:
+        """One kernel vector per free column, free columns in increasing
+        order, as its least common denominator den and its nonzero (index,
+        numerator over den) pairs in increasing index: the free column j
+        carries 1, and each pivot column pc the negated entry at j of its
+        RREF row, -row[j]/row[pc], read off the integer pivot row.  The
+        echelon is fully reduced, so every other entry of a pivot row sits
+        at a free column, past its lead."""
         rows = self.pivot_rows
-        basis: dict[int, dict[int, Fraction]] = {j: {} for j in range(self.ncols) if j not in rows}
+        terms: dict[int, list] = {j: [] for j in range(self.ncols) if j not in rows}
         for pc in sorted(rows):
             row = rows[pc]
             p = row[pc]
             for j, v in row.items():
                 if j != pc:
-                    basis[j][pc] = Fraction(-v, p)
-        for j, v in basis.items():
-            v[j] = Q1
-        return list(basis.values())
+                    g = gcd(p, v)
+                    terms[j].append((pc, -v // g, p // g))
+        out = []
+        for j, ts in terms.items():
+            den = lcm(*[d for _, _, d in ts])
+            out.append((den, [(pc, n * (den // d)) for pc, n, d in ts] + [(j, den)]))
+        return out
 
 
 def _integral(row: dict[int, Fraction]) -> dict[int, int]:

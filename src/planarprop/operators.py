@@ -26,16 +26,17 @@ ever applied to the stored matrices when retagging.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import reprlib
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
 from .algebras import GradedTarget
-from .linalg import Matrix, Q0, SparseEchelon, _exact, _integral, parse_rationals
+from .linalg import Matrix, Q0, SparseEchelon, _exact, parse_rationals
 from .ordinals import MonotoneMap, all_epis, compose, merge
 from .partitions import (
     OrderedPartition,
@@ -583,10 +584,10 @@ def _finest_rows(a: int, g: tuple[int, ...], order_one: list[SparseEchelon], bas
 
 def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEchelon]:
     """The layout of a shape's operators at a total grade and the echelon
-    of their Leibniz system.  It is the only elimination of a system of
-    one positive slot; for several, `dim_D` and `solve_D` build the space
-    from the slots' own spaces, and this echelon of the whole system is
-    the reference the tests hold them to.  The blocks of `_leibniz_blocks`
+    of their Leibniz system.  Only `_kernel` reads it, for a single slot's
+    basis; `dim_D` and the shapes of several slots build their spaces
+    from smaller ones, and the tests hold them to this echelon of the
+    whole system.  The blocks of `_leibniz_blocks`
     come finest refinement first: a constraint at kappa involves only
     kappa and its one-step refinements, and the finest refinement's
     constraints are closed (each slot a derivation), so each coarser row
@@ -691,12 +692,14 @@ def _leibniz_echelon(B: GradedTarget, shape, grade: int) -> tuple[dict, SparseEc
     return layout, ech
 
 
-def _kernel(B: GradedTarget, shape, grade: int) -> tuple[dict, Iterator[tuple[int, list[tuple[int, int]]]]]:
+def _kernel(B: GradedTarget, shape, grade: int) -> tuple[dict, Iterable[tuple[int, list[tuple[int, int]]]]]:
     """The layout of a shape's operators at a total grade and the
     canonical basis of the kernel of their Leibniz system: one vector per
     free column F of the system's RREF, 1 at F and 0 at every other free
-    column, in increasing F, each as a denominator and its (index,
-    numerator) pairs in increasing index, read one at a time.
+    column, in increasing F, each as its least common denominator and its
+    (index, numerator) pairs in increasing index, as
+    `SparseEchelon.nullspace` gives them.  `solve_D`, `symbol_exactness`
+    and `_fiber_dim` read a single slot's space from it alone.
 
     With at most one positive slot it is the nullspace of
     `_leibniz_echelon`.  Otherwise it is built from the slots' own
@@ -708,38 +711,23 @@ def _kernel(B: GradedTarget, shape, grade: int) -> tuple[dict, Iterator[tuple[in
     of the C_i (x) I is the tensor product of the kernels of the C_i.  The
     basis above is the reduced echelon form of the kernel with its columns
     reversed (its vector for F has its last nonzero entry at F), so any
-    basis reduces to it, the products of the slots' bases included: they
-    are reduced, as integer rows over reversed columns, in one
-    `SparseEchelon`, and each row is read back scaled to 1 at its lead."""
+    basis reduces to it, the products of the slots' bases included: each
+    is formed by `h_compose`, read by `op_vector` and reduced, as an
+    integer row over reversed columns, in one `SparseEchelon`, and each
+    row is read back scaled to 1 at its lead."""
     core = _positive(tuple(shape))
     if len(core) < 2:
         layout, ech = _leibniz_echelon(B, shape, grade)
-        return layout, map(_integer_vector, ech.nullspace())
+        return layout, ech.nullspace()
     layout = vector_layout(B, core, grade)
-    last, blocks = layout["total"] - 1, layout["blocks"]
+    last = layout["total"] - 1
     splits = _gradevecs(len(core), grade)
-    slots = {}  # (order, grade) -> the slot's kernel vectors, split by block
-    for n, h in sorted({x for split in splits for x in zip(core, split)}):
-        slot_layout, vecs = _kernel(B, (n,), h)
-        by_block = _by_block(slot_layout)
-        slots[n, h] = [by_block(items) for _, items in vecs]
+    slots = {x: solve_D(B, (x[0],), x[1]) for x in {x for split in splits for x in zip(core, split)}}
     ech = SparseEchelon(layout["total"])
     for split in splits:
-        for vecs in itertools.product(*(slots[x] for x in zip(core, split))):
-            parts = [((), (), 1, 1, [(0, 0, 1)])]
-            for vec in vecs:
-                parts = [
-                    (k1 + k2, g1 + g2, nr1 * nr2, nc1 * nc2,
-                     [(r1 * nr2 + r2, c1 * nc2 + c2, v1 * v2) for r1, c1, v1 in e1 for r2, c2, v2 in e2])
-                    for k1, g1, nr1, nc1, e1 in parts
-                    for (k2, g2), nr2, nc2, e2 in vec
-                ]
-            row = {}
-            for kappa, g, _, nc, entries in parts:
-                top = last - blocks[kappa, g][0]
-                for r, c, v in entries:
-                    row[top - r * nc - c] = v
-            ech.add_row(row)
+        for ops in itertools.product(*(slots[x] for x in zip(core, split))):
+            _, vec = op_vector(functools.reduce(h_compose, ops), layout)
+            ech.add_row({last - j: v for j, v in vec.items()})
     rows = ech.pivot_rows
 
     def vectors():  # each row is dropped once it is read
@@ -748,13 +736,6 @@ def _kernel(B: GradedTarget, shape, grade: int) -> tuple[dict, Iterator[tuple[in
             yield row[lead], [(last - j, row[j]) for j in sorted(row, reverse=True)]
 
     return layout, vectors()
-
-
-def _integer_vector(vec: dict[int, Fraction]) -> tuple[int, list[tuple[int, int]]]:
-    """A sparse rational vector as a denominator and its (index,
-    numerator) pairs, in the vector's order."""
-    den = lcm(*[v.denominator for v in vec.values()])
-    return den, [(idx, v.numerator * (den // v.denominator)) for idx, v in vec.items()]
 
 
 def _by_block(layout):
@@ -793,8 +774,8 @@ def _kron_index(blocks: dict, parts) -> int:
 
 
 def _fiber_dim(B: GradedTarget, n: int, grade: int) -> int:
-    """dim D_(n)(grade) for n >= 2, from the top block's rows and the
-    agreement of the two-part spaces; `dim_D` gives the argument."""
+    """dim D_(n)(grade), from the top block's rows and the agreement of the
+    two-part spaces (none at n = 1); `dim_D` gives the argument."""
     a = B.A.dim
     # per (m, h), m < n: the layout's blocks, each kernel vector's lead as
     # a block entry with its denominator, and per wanted index the
@@ -851,8 +832,8 @@ def _fiber_dim(B: GradedTarget, n: int, grade: int) -> int:
     # through the products of top blocks that fill it
     layout = vector_layout(B, (n,), grade)
     by_block = _by_block(layout)
-    template, block, *_ = _leibniz_block_builder(B, layout["blocks"])((n,), 0, (grade,))
-    for eq in template:
+    template, block, *_, spanning = _leibniz_block_builder(B, layout["blocks"])((n,), 0, (grade,))
+    for eq in sorted(template[:spanning], key=min, reverse=True):
         row: dict = {}
         for j, v in eq.items():
             if j in block:
@@ -875,18 +856,19 @@ def dim_D(B: GradedTarget, shape: tuple[int, ...], grade: int = 0) -> int:
     grade, no basis built.  With positive slots lambda_1, ..., lambda_k,
     k >= 2, it is the sum over grade splits g_1 + ... + g_k = g of the
     products of dim D_(lambda_i)(g_i), since the kernel is the sum of the
-    tensor products of the slots' kernels (see `_kernel`).  With no
-    positive slot, or one of order 1, it is the unknowns minus the rank of
-    the Leibniz system.
+    tensor products of the slots' kernels (see `_kernel`).  A shape with
+    no positive slot has the unit operator at grade 0 and nothing above.
 
-    A single slot of order n >= 2 is counted as a fiber product of its
-    two-part spaces, and only a small system is eliminated.
+    A single slot of order n is counted as a fiber product of its
+    two-part spaces (`_fiber_dim`), and only a small system is
+    eliminated.
     - Cuts.  A block kappa other than the top block (n) has a cut at
       kappa_1.  A slot-i row at kappa touches only kappa and the blocks
       that split its part i, and those keep every cut of kappa.  So every
       row outside the top block is a row of the two-slot system (x, n-x)
       for a cut x of its block, on the columns R_x of the blocks cut at x,
-      in `h_compose`'s Kronecker coordinates.
+      in `h_compose`'s Kronecker coordinates.  Order one has no cut, so
+      only the top block's rows are left.
     - Two-part spaces.  D_(x,n-x)(g) is the sum over g1 + g2 = g of
       D_(x)(g1) (x) D_(n-x)(g2) (see `_kernel`), so P restricted to R_x
       is Q_x = sum of alpha (u1 (x) u2) over pairs of canonical basis
@@ -904,6 +886,8 @@ def dim_D(B: GradedTarget, shape: tuple[int, ...], grade: int = 0) -> int:
       two-part blocks ((x, n-x), (h1, h2)); the entry at (r, c) there is
       the sum of u1[r1, c1] u2[r2, c2] alpha over the top blocks of
       D_(x)(h1) and D_(n-x)(h2), with r = r1 a^(h2+1) + r2, c = c1 a + c2.
+      They are fed as `_leibniz_echelon` feeds a block with one copy: the
+      first `spanning` rows, in decreasing order of their first columns.
     - Count.  The unknowns are the top block and the alphas.  Given a
       solution of the agreement and top rows, the operator that is the
       top block there and Q_x on each block with a cut x satisfies every
@@ -913,11 +897,10 @@ def dim_D(B: GradedTarget, shape: tuple[int, ...], grade: int = 0) -> int:
       kernel vectors' integer numerators, times the template's entries in
       the top rows."""
     core = _positive(tuple(shape))
-    if len(core) == 1 and core[0] > 1:
+    if not core:
+        return int(grade == 0)
+    if len(core) == 1:
         return _fiber_dim(B, core[0], grade)
-    if len(core) < 2:
-        layout, ech = _leibniz_echelon(B, shape, grade)
-        return layout["total"] - ech.rank
     splits = _gradevecs(len(core), grade)
     dims = {x: dim_D(B, (x[0],), x[1]) for x in {x for split in splits for x in zip(core, split)}}
     return sum(prod(dims[x] for x in zip(core, split)) for split in splits)
@@ -959,10 +942,10 @@ def check_leibniz(P: DiffOperator) -> bool:
     with one copy is its template, read as it is), and the check stops at
     the first row that does not vanish.  False when a block lies outside
     the layout of the shape and grade."""
-    vec = op_vector(P, vector_layout(P.B, P.shape, P.grade))
-    if vec is None:
+    found = op_vector(P, vector_layout(P.B, P.shape, P.grade))
+    if found is None:
         return False
-    vec = _integral(vec)
+    _, vec = found
     for template, own, rests, outs, _ in _leibniz_templates(P.B, P.core, P.grade):
         shifts = _shifts(rests, outs)
         if len(shifts) == 1:
@@ -1288,25 +1271,26 @@ def symbol(P: DiffOperator) -> DiffOperator:
     return DiffOperator(P.B, fin, P.grade, {fin: dict(blocks)} if blocks else {})
 
 
-def op_vector(P: DiffOperator, layout) -> dict[int, Fraction] | None:
-    """The nonzero coordinates (index -> entry) of an operator in a fixed
-    layout, as produced by `vector_layout`; None when one of its blocks
-    lies outside the layout.  The entries of a block with denominator 1
-    are its ints, the others Fractions."""
-    vec = {}
+def op_vector(P: DiffOperator, layout) -> tuple[int, dict[int, int]] | None:
+    """The coordinates of an operator in a fixed layout, as produced by
+    `vector_layout`, in the integer form of `_kernel`'s vectors: the least
+    common denominator den of its blocks and the nonzero numerators over
+    den, index -> numerator; None when one of its blocks lies outside the
+    layout.  Each block's form is reduced, so den is the lcm of theirs."""
+    forms = []
     for kappa, blocks in P.components.items():
         for g, M in blocks.items():
             if (kappa, g) not in layout["blocks"]:
                 return None
-            off, _, nc = layout["blocks"][(kappa, g)]
-            den, cols, nums = M.form()
-            for r, (c, n) in enumerate(zip(cols, nums)):
-                base = off + r * nc
-                if den == 1:
-                    vec.update(zip([base + j for j in c], n))
-                else:
-                    vec.update((base + j, Fraction(v, den)) for j, v in zip(c, n))
-    return vec
+            forms.append((layout["blocks"][kappa, g], M.form()))
+    den = lcm(*[d for _, (d, _, _) in forms])
+    vec = {}
+    for (off, _, nc), (d, cols, nums) in forms:
+        f = den // d
+        for r, (c, n) in enumerate(zip(cols, nums)):
+            base = off + r * nc
+            vec.update(zip([base + j for j in c], n if f == 1 else [v * f for v in n]))
+    return den, vec
 
 
 def vector_layout(B: GradedTarget, shape, grade) -> dict:
@@ -1328,31 +1312,33 @@ def symbol_exactness(B: GradedTarget, n: int, grade: int = 0) -> dict:
     finest-shape dimension, the symbol's rank on D_n, and whether its
     kernel K is the span of the degeneracy images of D_(n-1).  It is when
     every image has zero symbol and lies in D_n (so the images span a
-    subspace of K) and the images have rank dim K."""
+    subspace of K) and the images have rank dim K.  D_n is read from
+    `_kernel`, and the span and symbol echelons are fed its integer
+    vectors and the integer coordinates of the images (`op_vector`)."""
     fin = (1,) * n
-    layout, ech = _leibniz_echelon(B, (n,), grade)
+    layout, basis_n = _kernel(B, (n,), grade)
     # the finest refinement's blocks close the layout, in the order of
     # the finest shape's own layout
     start = layout["blocks"][fin, _gradevecs(n, grade)[0]][0]
-    basis_n = ech.nullspace()
     span_n = SparseEchelon(layout["total"])
     sym = SparseEchelon(layout["total"] - start)
-    for vec in basis_n:
-        span_n.add_row(vec)
-        sym.add_row({j - start: v for j, v in vec.items() if j >= start})
+    for _, items in basis_n:
+        span_n.add_row(dict(items))
+        sym.add_row({j - start: v for j, v in items if j >= start})
+    dim_n = span_n.rank  # the basis is independent
     deg = SparseEchelon(layout["total"])
     in_kernel = True
     lower = solve_Dn(B, n - 1, grade)
     for sigma in all_epis(n, n - 1):
         for Q in lower:
             D = degeneracy(sigma, Q)
-            image = op_vector(D, layout)
+            _, image = op_vector(D, layout)
             deg.add_row(image)
             in_kernel = in_kernel and fin not in D.components and span_n.contains(image)
-    kernel_dim = len(basis_n) - sym.rank
+    kernel_dim = dim_n - sym.rank
     dim_finest = dim_D(B, fin, grade)
     return {
-        "dim_Dn": len(basis_n),
+        "dim_Dn": dim_n,
         "dim_finest": dim_finest,
         "symbol_rank": sym.rank,
         "surjective": sym.rank == dim_finest,

@@ -88,3 +88,38 @@ def test_every_import_is_used(module):
         if (alias.asname or alias.name.split(".")[0]) not in read
     ]
     assert not unused, f"names imported into {module} and never used: {unused}"
+
+
+def _references(attr: bool, name: str) -> list[str]:
+    """The functions of the package, as module.[Class.]function, that read
+    `name` as a bare name (or, with attr, as an attribute), once per read;
+    a read at module level is listed under its module."""
+    out = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute if attr else ast.Name) and (child.attr if attr else child.id) == name:
+                out.append(where)
+            walk(child, where)
+
+    for module, tree in TREES.items():
+        walk(tree, module)
+    return out
+
+
+def test_whole_system_echelon_is_read_only_by_kernel():
+    """The package eliminates a whole Leibniz system only to read a
+    single slot's space, in `_kernel`; every other count or basis goes
+    through `_kernel` or the fiber product."""
+    assert set(_references(False, "_leibniz_echelon")) == {"operators._kernel"}
+
+
+def test_dense_rows_are_read_only_by_the_multiplication_maps():
+    """Outside `linalg`, the package reads and writes matrices through
+    their integer form or their constructors; the dense `.rows` view is
+    left only to `FinAlgebra.left_mult` and `right_mult`."""
+    readers = {r for r in _references(True, "rows") if not r.startswith("linalg.")}
+    assert readers == {"algebras.FinAlgebra.left_mult", "algebras.FinAlgebra.right_mult"}

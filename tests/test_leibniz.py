@@ -146,7 +146,7 @@ def test_basis_vectors_are_the_kernel(case):
     rows = list(leibniz_rows(B, shape, grade))
     assert all(type(v) is int for row in rows for v in row.values())
     for P in basis(*case):
-        vec = op_vector(P, layout)
+        _, vec = op_vector(P, layout)
         assert all(sum(v * vec.get(j, 0) for j, v in row.items()) == 0 for row in rows)
 
 

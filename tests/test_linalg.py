@@ -499,6 +499,17 @@ def test_rank_nullity(n, m, data):
         assert all(x == 0 for x in A.apply(v))
 
 
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2), st.data())
+def test_from_cols_is_the_transpose_padded_to_nrows(n, m, pad, data):
+    """Columns of Fractions, as `families` and the benchmark's generator
+    pass them, become the columns of the matrix, padded with zero rows up
+    to nrows when it is given."""
+    cols = data.draw(st.lists(st.lists(fracs, min_size=n, max_size=n), min_size=m, max_size=m))
+    assert Matrix.from_cols(cols) == Matrix([[c[i] for c in cols] for i in range(n)])
+    padded = [c + [Q0] * pad for c in cols]
+    assert Matrix.from_cols(cols, nrows=n + pad) == Matrix([[c[i] for c in padded] for i in range(n + pad)])
+
+
 @given(st.data())
 def test_rref_idempotent(data):
     A = data.draw(st_matrix(3, 4))
@@ -543,8 +554,8 @@ def test_sparse_echelon_matches_dense_rank():
         for row in rows:
             se.add_row({j: v for j, v in enumerate(row) if v})
         assert se.rank == reference_rank(rows)
-        for v in se.nullspace():
-            assert all(x == 0 for x in Matrix(rows).apply(_dense(v, m)))
+        for _, items in se.nullspace():
+            assert all(x == 0 for x in Matrix(rows).apply(_dense(dict(items), m)))
 
 
 def test_span_helpers():
@@ -564,6 +575,19 @@ def _dense(vec, ncols):
     for j, v in vec.items():
         out[j] = v
     return out
+
+
+def assert_integer_kernel(kernel, reference):
+    """`SparseEchelon.nullspace`'s vectors are the reference's sparse
+    Fraction vectors, index for index, times a denominator den: its
+    entries are the ints den * v, nonzero and in increasing index, and den
+    is least, its gcd with them 1."""
+    assert len(kernel) == len(reference)
+    for (den, items), ref in zip(kernel, reference):
+        assert den > 0 and all(type(v) is int for _, v in items)
+        assert items == [(j, den * v) for j, v in ref.items()]
+        assert [j for j, _ in items] == sorted(ref) and all(v for _, v in items)
+        assert math.gcd(den, *(v for _, v in items)) == 1
 
 
 @st.composite
@@ -586,9 +610,7 @@ def test_sparse_echelon_nullspace_equals_dense(case):
         se.add_row(row)
     dense = Matrix(rows)
     assert se.rank == reference_rank(rows)
-    kernel = se.nullspace()
-    assert [_dense(v, ncols) for v in kernel] == reference_nullspace(dense)
-    assert all(list(v) == sorted(v) and all(v.values()) for v in kernel)
+    assert_integer_kernel(se.nullspace(), [_sparse_rows([v])[0] for v in reference_nullspace(dense)])
 
 
 @given(st_rows_with_repeats())
@@ -663,7 +685,7 @@ def assert_matches_reference(ncols, rows):
         if new:
             assert_reduced(se)
     assert se.rref() == ref.rref()
-    assert se.nullspace() == ref.nullspace()
+    assert_integer_kernel(se.nullspace(), ref.nullspace())
 
 
 @given(st_rows_with_repeats())
@@ -757,7 +779,8 @@ def test_multi_slot_basis_is_the_whole_system_nullspace(case):
     which `_leibniz_echelon` still eliminates, in the same order."""
     B, shape, grade = case
     layout, ech = _leibniz_echelon(B, shape, grade)
-    assert [op_vector(P, layout) for P in solve_D(B, shape, grade)] == ech.nullspace()
+    kernel = [(den, dict(items)) for den, items in ech.nullspace()]
+    assert [op_vector(P, layout) for P in solve_D(B, shape, grade)] == kernel
 
 
 @settings(max_examples=40, deadline=None)

@@ -359,7 +359,8 @@ SYMBOL_KEYS = (
 )
 # symbol_exactness per (algebra, n, grade), recorded when the kernel of the
 # symbol was still taken as a dense nullspace and tested vector by vector
-# against the degeneracy span.
+# against the degeneracy span; the m2 row at order 4 was recorded later,
+# with D_n read off the whole system's echelon as Fraction vectors.
 SYMBOL_TABLE = {
     ("dualnum", 1, 0): (1, 1, 1, True, 0, 0, True),
     ("dualnum", 2, 0): (2, 1, 1, True, 1, 1, True),
@@ -374,6 +375,7 @@ SYMBOL_TABLE = {
     ("m2", 1, 0): (3, 3, 3, True, 0, 0, True),
     ("m2", 2, 0): (12, 9, 9, True, 3, 3, True),
     ("m2", 3, 0): (48, 27, 27, True, 21, 21, True),
+    ("m2", 4, 0): (192, 81, 81, True, 111, 111, True),
     ("m2", 1, 1): (12, 12, 12, True, 0, 0, True),
     ("m2", 2, 1): (84, 72, 72, True, 12, 12, True),
 }
@@ -413,6 +415,9 @@ def test_order_zero_spaces_are_the_units(targets, name):
     for grade in (1, 2):
         assert solve_D(B, (), grade) == solve_D(B, (0,), grade) == solve_D(B, (0, 0), grade) == []
         assert solve_Dn(B, 0, grade) == []
+    for shape in ((), (0,), (0, 0)):
+        for grade in (0, 1, 2):
+            assert dim_D(B, shape, grade) == len(solve_D(B, shape, grade)) == int(grade == 0)
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -468,7 +473,7 @@ def test_fiber_product_dimension_at_a_scale_row(targets, case):
 
 @st.composite
 def st_single_slot_systems(draw):
-    """A target of the corpus, an order 2 to 4 and a grade 0 to 2 where the
+    """A target of the corpus, an order 1 to 4 and a grade 0 to 2 where the
     whole system has at most 60,000 unknowns.  On the dense m2 conjugate
     the cap is 5,000: the whole system and `solve_D` take about 3 s on its
     12,544 at (2,) grade 2."""
@@ -476,7 +481,7 @@ def st_single_slot_systems(draw):
     B = corpus_target(*case)
     cap = 5_000 if case == ("m2", "conj") else 60_000
     n, grade = draw(st.sampled_from([
-        (n, g) for n in (2, 3, 4) for g in (0, 1, 2) if vector_layout(B, (n,), g)["total"] <= cap
+        (n, g) for n in (1, 2, 3, 4) for g in (0, 1, 2) if vector_layout(B, (n,), g)["total"] <= cap
     ]))
     return B, n, grade
 
@@ -484,8 +489,8 @@ def st_single_slot_systems(draw):
 @settings(max_examples=30, deadline=None)
 @given(st_single_slot_systems())
 def test_single_slot_dimension_is_the_whole_system_count(case):
-    """`dim_D` of a single slot of order n >= 2 counts the fiber product of
-    its two-part spaces; it equals the unknowns of the whole system beyond
+    """`dim_D` of a single slot of order n counts the fiber product of its
+    two-part spaces (at order one, the top block's rows alone); it equals the unknowns of the whole system beyond
     its rank and the length of the basis `solve_D` reads off its nullspace."""
     B, n, grade = case
     layout, ech = _leibniz_echelon(B, (n,), grade)
