@@ -55,26 +55,29 @@ class FinAlgebra:
         return Matrix([[self.mult[i][j][k] for i in every for j in every] for k in every])
 
     def left_mult(self, x) -> Matrix:
-        m = Matrix.zeros(self.dim, self.dim)
+        """y -> x y as a matrix: column j holds x e_j."""
+        return self._action(x, left=True)
+
+    def right_mult(self, y) -> Matrix:
+        """x -> x y as a matrix: column i holds e_i y."""
+        return self._action(y, left=False)
+
+    def _action(self, x, left: bool) -> Matrix:
+        """Entry (k, j) is the coefficient of e_k in x e_j (left) or in
+        e_j x, summed over the nonzero coordinates of x and written by
+        `Matrix.from_entries` over the common denominator."""
+        acc: dict[tuple[int, int], Fraction] = {}
         for i, xi in enumerate(x):
             if xi:
                 for j in range(self.dim):
-                    for k in range(self.dim):
-                        c = self.mult[i][j][k]
+                    for k, c in enumerate(self.mult[i][j] if left else self.mult[j][i]):
                         if c:
-                            m.rows[k][j] += xi * c
-        return m
-
-    def right_mult(self, y) -> Matrix:
-        m = Matrix.zeros(self.dim, self.dim)
-        for j, yj in enumerate(y):
-            if yj:
-                for i in range(self.dim):
-                    for k in range(self.dim):
-                        c = self.mult[i][j][k]
-                        if c:
-                            m.rows[k][i] += yj * c
-        return m
+                            acc[k, j] = acc.get((k, j), Q0) + xi * c
+        entries = [(kj, v) for kj, v in sorted(acc.items()) if v]
+        den = lcm(*(v.denominator for _, v in entries))
+        return Matrix.from_entries(
+            self.dim, self.dim, den, [(k, j, v.numerator * (den // v.denominator)) for (k, j), v in entries]
+        )
 
     def basis_vec(self, i: int) -> list[Fraction]:
         v = [Q0] * self.dim
@@ -225,9 +228,12 @@ class GradedTarget:
         """Increasing basis indices G whose words of length at least one
         span A, chosen greedily: index k joins G when e_k lies outside the
         span W of the words of the earlier members, and W is then closed
-        again as span(G) + G W.  `operators._leibniz_blocks` feeds an
-        order-one slot's rows only for first inputs in G.  It presumes A
-        associative, as every CLI path checks first (`check_algebra`).
+        again as span(G) + G W.  It has two readers:
+        `operators._leibniz_blocks` feeds an order-one slot's rows only
+        for first inputs in G, and `families.is_double_derivation` checks
+        the Leibniz rule only at first inputs in G (through `_actions`).
+        Both presume A associative, as every CLI path checks first
+        (`check_algebra`).
 
         The closure multiplies each new vector of W by each member on the
         left, skips a product it has already found (up to a scalar) and
@@ -278,6 +284,20 @@ class GradedTarget:
                 if v and new(v):
                     queue += [times(g, v) for g in gens]
         return tuple(gens)
+
+    @functools.cached_property
+    def _actions(self) -> tuple[list[Matrix], list[Matrix], list[list]]:
+        """The maps `families.is_double_derivation` reads, built once per
+        target: (lefts, rights, products), where lefts[t] is the left
+        insert of e_g at grade 1 for the t-th generator g, rights[s] the
+        right insert of e_s at grade 1 for every basis index s, and
+        products[t][s] the product e_g e_s."""
+        A = self.A
+        basis = [A.basis_vec(i) for i in range(A.dim)]
+        gens = [basis[g] for g in self.generators]
+        lefts = [self.left_insert(e, 1) for e in gens]
+        rights = [self.right_insert(e, 1) for e in basis]
+        return lefts, rights, [[A.mul_vec(e, f) for f in basis] for e in gens]
 
     def mB_matrix(self, g: int, h: int) -> Matrix:
         """Multiplication B_g x B_h -> B_{g+h} as a matrix from the

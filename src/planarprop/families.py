@@ -101,17 +101,26 @@ def validate_aut(phi: AutFamily) -> tuple[bool, tuple | None]:
 
 
 def is_double_derivation(B: GradedTarget, mat: Matrix) -> bool:
-    """mat: A -> A tensor A with mat(ab) = mat(a)(1 (x) b) + (a (x) 1) mat(b)."""
-    A = B.A
-    basis = [A.basis_vec(i) for i in range(A.dim)]
-    lefts = [B.left_insert(e, 1) for e in basis]
-    rights = [B.right_insert(e, 1) for e in basis]
-    cols = [mat.col(i) for i in range(A.dim)]
-    for i, ei in enumerate(basis):
-        for j, ej in enumerate(basis):
-            lhs = mat.apply(A.mul_vec(ei, ej))
+    """mat: A -> A tensor A with mat(ab) = mat(a)(1 (x) b) + (a (x) 1) mat(b).
+
+    The defect d(p, q) = mat(pq) - mat(p)(1 (x) q) - (p (x) 1) mat(q) is
+    bilinear, and in an associative A
+
+        d(pq, s) = d(p, qs) + (p (x) 1) d(q, s) - d(p, q)(1 (x) s).
+
+    So d vanishing at (g, s) for every generator g and every s makes it
+    vanish at (w, s) for every word w in the generators, by induction on
+    the length of w, and these words span A.  The check therefore runs
+    over the pairs (e_g, e_j) with g in `B.generators` only, and presumes
+    A associative, as `GradedTarget.generators` does; the maps it applies
+    are built once per target (`GradedTarget._actions`)."""
+    lefts, rights, products = B._actions
+    cols = [mat.col(i) for i in range(B.A.dim)]
+    for g, left, prods in zip(B.generators, lefts, products):
+        for j, prod in enumerate(prods):
+            lhs = mat.apply(prod)
             # apply gives zeros as the shared Q0: most terms skip the sum
-            rhs = zip(rights[j].apply(cols[i]), lefts[i].apply(cols[j]))
+            rhs = zip(rights[j].apply(cols[g]), left.apply(cols[j]))
             if lhs != [y if x is Q0 else x if y is Q0 else x + y for x, y in rhs]:
                 return False
     return True

@@ -1,10 +1,15 @@
 """Truncated automorphism families, their operators, and pullbacks."""
 
+import functools
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
-from test_leibniz import conjugate
+from hypothesis import given, settings, strategies as st
+from test_algebras import kx4_by_powers
+from test_leibniz import CORPUS, conjugate, corpus_target
 
 from planarprop.algebras import FinAlgebra, GradedTarget, dual_numbers, kxk, m2
 from planarprop.families import (
@@ -248,3 +253,91 @@ class TestLiftsAndProbes:
         assert report["dim_derivations"] == 3
         assert report["dim_double_derivations"] == 12
         assert report["symbol_dim"] == 9
+
+
+# -- the double-derivation check at generator pairs ---------------------
+
+
+def reference_is_double_derivation(A: FinAlgebra, mat: Matrix) -> bool:
+    """The Leibniz rule mat(e_i e_j) = mat(e_i)(1 (x) e_j) + (e_i (x) 1) mat(e_j)
+    at every basis pair (i, j), read straight off the structure constants."""
+    a, c = A.dim, A.mult
+    cols = [mat.col(i) for i in range(a)]
+    for i, j in itertools.product(range(a), repeat=2):
+        lhs = [sum(c[i][j][k] * cols[k][r] for k in range(a)) for r in range(a * a)]
+        rhs = [Fraction(0)] * (a * a)
+        for p, q, z in itertools.product(range(a), repeat=3):
+            rhs[p * a + z] += cols[i][p * a + q] * c[q][j][z]  # x (x) y e_j
+            rhs[z * a + q] += c[i][p][z] * cols[j][p * a + q]  # e_i x (x) y
+        if lhs != rhs:
+            return False
+    return True
+
+
+# The Leibniz corpus and k[x]/(x^4) on (x, x^2, x^3, 1).  m2, its dense
+# conjugate, kx3 and k[x]/(x^4) are generated by a proper subset of the basis.
+DD_CORPUS = {
+    **{f"{name} {kind}": functools.partial(corpus_target, name, kind) for name, kind in CORPUS},
+    "k[x]/(x^4) by powers": lambda: GradedTarget(kx4_by_powers()),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def dd_case(name: str) -> tuple[GradedTarget, list[Matrix]]:
+    """A target of the corpus and its solved D_(1)(1) basis, as matrices."""
+    B = DD_CORPUS[name]()
+    return B, [P.block((1,), (1,)) for P in solve_Dn(B, 1, 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(DD_CORPUS)), st.data())
+def test_double_derivation_check_agrees_with_every_basis_pair(name, data):
+    """Integer combinations of the D_(1)(1) basis, now and then with one
+    entry changed, get the verdict of the check at every basis pair."""
+    B, basis = dd_case(name)
+    a = B.A.dim
+    mat = Matrix.zeros(a * a, a)
+    for P in basis:
+        c = data.draw(st.integers(-2, 2))
+        if c:
+            mat = mat + P.scale(c)
+    if data.draw(st.booleans()):
+        r, col = data.draw(st.integers(0, a * a - 1)), data.draw(st.integers(0, a - 1))
+        v = data.draw(st.sampled_from([-3, -1, 1, 2]))
+        mat = mat + Matrix.from_entries(a * a, a, 1, [(r, col, v)])
+    assert is_double_derivation(B, mat) == reference_is_double_derivation(B.A, mat)
+
+
+def test_action_maps_are_built_once_per_target(monkeypatch):
+    """A family's letters are checked against one set of insert maps per
+    target: left inserts at the generators and right inserts at every
+    basis vector, none built again for a second family."""
+    B = GradedTarget(m2())
+    letters = derivation_lifts(B)[2]
+    built = []
+    for name in ("left_insert", "right_insert"):
+        insert = getattr(GradedTarget, name)
+
+        def counted(self, x, g, name=name, insert=insert):
+            built.append(name)
+            return insert(self, x, g)
+
+        monkeypatch.setattr(GradedTarget, name, counted)
+    from_derivations(B, letters, N=2)
+    assert len(letters) == 3
+    assert built.count("left_insert") == len(B.generators) == 3
+    assert built.count("right_insert") == B.A.dim
+    from_derivations(B, letters, N=2)
+    assert len(built) == len(B.generators) + B.A.dim
+
+
+def test_dense_m2_conjugate_family_is_pinned():
+    """The dense conjugate's first two basis vectors generate it, so half
+    the basis pairs are checked; the family's digest was recorded with
+    the check over every basis pair."""
+    B = GradedTarget(conjugate("m2"))
+    assert B.generators == (0, 1)
+    phi = from_derivations(B, derivation_lifts(B)[2], N=2)
+    text = json.dumps(phi.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == "fa8435b7c5f5461ab63b4c8ef843aa2765078dad937934eab574f5a14faa7f0a"
+    assert validate_aut(phi) == (True, None)
